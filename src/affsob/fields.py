@@ -105,7 +105,15 @@ class Polynomial:
         if self.is_zero:
             out = np.zeros(pts.shape[0])
         else:
-            mono = np.prod(pts[:, None, :] ** self.exponents[None, :, :], axis=2)
+            # x^0 and x^1 need no pow; higher powers keep the elementwise
+            # pow of an exponent array (a scalar 2 would square instead)
+            mono = np.ones((pts.shape[0], self.exponents.shape[0]))
+            for j, exp in enumerate(self.exponents):
+                for axis, e in enumerate(exp):
+                    if e == 1:
+                        mono[:, j] *= pts[:, axis]
+                    elif e > 1:
+                        mono[:, j] *= pts[:, axis] ** np.full(pts.shape[0], e)
             out = mono @ self.coefficients
         return out[0] if single else out
 
@@ -181,6 +189,57 @@ class Polynomial:
         return out
 
 
+# (step, node) pairs per block of the fused difference sweep: every
+# work array of a block holds about this many doubles and stays in cache
+_SWEEP_BLOCK = 65536
+
+
+def _sum_lines(terms: list[tuple], taus: np.ndarray, out: np.ndarray,
+               expo: np.ndarray, poly: np.ndarray) -> None:
+    """out[k, j] = sum of the terms' values at x_j + taus[k] xi.
+
+    `terms` comes from AnalyticField._line_terms; expo and poly are work
+    arrays of out's shape.
+    """
+    for i, (neg_half_a, b, half_c, rows) in enumerate(terms):
+        np.multiply(taus[:, None], b, out=expo)
+        np.subtract(neg_half_a, expo, out=expo)
+        expo -= (half_c * taus ** 2)[:, None]
+        np.exp(expo, out=expo)
+        target = out if i == 0 else poly
+        if rows.shape[0] == 1:
+            np.multiply(expo, rows[0], out=target)
+        else:
+            # Horner's rule in tau for the polynomial factor; elementwise,
+            # so a value does not depend on how the steps are blocked
+            np.multiply(taus[:, None], rows[-1], out=target)
+            for row in rows[-2:0:-1]:
+                target += row
+                target *= taus[:, None]
+            target += rows[0]
+            target *= expo
+        if i > 0:
+            out += poly
+    if not terms:
+        out.fill(0.0)
+
+
+def _abs_power(x: np.ndarray, p: float, work: np.ndarray) -> None:
+    """x <- |x|^p in place; p in {1, 2, 3, 4} by multiplication."""
+    if p == 2.0:
+        np.multiply(x, x, out=x)
+    elif p == 4.0:
+        np.multiply(x, x, out=x)
+        np.multiply(x, x, out=x)
+    else:
+        np.abs(x, out=x)
+        if p == 3.0:
+            np.multiply(x, x, out=work)
+            x *= work
+        elif p != 1.0:
+            np.power(x, p, out=x)
+
+
 @dataclass(frozen=True)
 class GaussianTerm:
     """One summand c * q(x) * exp(-(x-mean)^T precision (x-mean) / 2)."""
@@ -201,7 +260,10 @@ class GaussianTerm:
         if not np.allclose(self.precision, self.precision.T, atol=1e-12):
             raise ValueError("precision matrix must be symmetric")
         eigs = np.linalg.eigvalsh(self.precision)
-        floor = -1e-12 if flat_ok else 1e-14
+        # below n * eps * (largest eigenvalue) the smallest one is rounding
+        # noise, and the matrix is not numerically positive definite
+        floor = -1e-12 if flat_ok else max(
+            1e-14, n * np.finfo(float).eps * eigs.max())
         if eigs.min() < floor:
             kind = "positive semidefinite" if flat_ok else "positive definite"
             raise ValueError(f"precision matrix must be {kind}; eigenvalues {eigs}")
@@ -260,6 +322,35 @@ class AnalyticField:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluate(x)
 
+    def _line_terms(self, pts: np.ndarray, xi: np.ndarray) -> list[tuple]:
+        """Per-term coefficients of the lines tau -> f(x + tau xi), x in pts.
+
+        The Gaussian exponent along a line is -a/2 - tau b - tau^2 c/2 and
+        the polynomial factor is the Taylor expansion
+        q(x + tau xi) = sum_k tau^k (d_xi^k q)(x) / k!, whose rows are
+        evaluated on the points once.  Each entry is
+        (-a/2, b, c/2, coefficient times the Taylor rows, shape (D+1, P)).
+        """
+        terms = []
+        for t in self.terms:
+            d = pts - t.mean
+            a = np.einsum("pi,ij,pj->p", d, t.precision, d)
+            w = t.precision @ xi
+            b = d @ w
+            c = float(xi @ w)
+            rows = []
+            q = t.polynomial
+            k = 0
+            while not q.is_zero or k == 0:
+                rows.append(q.evaluate(pts) / math.factorial(k))
+                q = q.directional_derivative(xi)
+                k += 1
+                if k > t.polynomial.degree + 1:
+                    break
+            terms.append((-0.5 * a, b, 0.5 * c,
+                          t.coefficient * np.vstack(rows)))
+        return terms
+
     def line_values(self, points: np.ndarray, xi: np.ndarray,
                     taus: np.ndarray, max_block: int = 6_000_000) -> np.ndarray:
         """Evaluate f(points + tau * xi) for every tau, shape (K, P).
@@ -270,37 +361,17 @@ class AnalyticField:
         (tau, point) pair.
         """
         pts, _ = _as_matrix(points, self.dimension)
-        xi = np.asarray(xi, dtype=float)
+        terms = self._line_terms(pts, np.asarray(xi, dtype=float))
         taus = np.asarray(taus, dtype=float)
         P, K = pts.shape[0], taus.shape[0]
-        out = np.zeros((K, P))
+        out = np.empty((K, P))
         block = max(1, min(K, int(max_block // max(P, 1)) or 1))
-        for t in self.terms:
-            d = pts - t.mean
-            a = np.einsum("pi,ij,pj->p", d, t.precision, d)
-            w = t.precision @ xi
-            b = d @ w
-            c = float(xi @ w)
-            # Taylor coefficients of q along the line: q(x + tau xi)
-            # = sum_k tau^k (d_xi^k q)(x) / k!
-            rows = []
-            q = t.polynomial
-            k = 0
-            while not q.is_zero or k == 0:
-                rows.append(q.evaluate(pts) / math.factorial(k))
-                q = q.directional_derivative(xi)
-                k += 1
-                if k > t.polynomial.degree + 1:
-                    break
-            poly_rows = np.vstack(rows)      # (D+1, P)
-            degs = np.arange(poly_rows.shape[0])
-            for lo in range(0, K, block):
-                ts = taus[lo:lo + block]
-                powers = ts[:, None] ** degs[None, :]          # (k, D+1)
-                polyvals = powers @ poly_rows                  # (k, P)
-                expo = (-0.5 * a)[None, :] - ts[:, None] * b[None, :] \
-                    - 0.5 * c * (ts ** 2)[:, None]
-                out[lo:lo + block] += t.coefficient * polyvals * np.exp(expo)
+        expo = np.empty((block, P))
+        poly = np.empty((block, P))
+        for lo in range(0, K, block):
+            ts = taus[lo:lo + block]
+            n = ts.shape[0]
+            _sum_lines(terms, ts, out[lo:lo + n], expo[:n], poly[:n])
         return out
 
     def difference_lp_samples(self, xi: np.ndarray, ts: np.ndarray, order: int,
@@ -311,19 +382,42 @@ class AnalyticField:
         The offsets are centered (l - order/2 instead of l), which translates
         the integrand by order*t*xi/2 and leaves the full-space integral
         unchanged while halving the sweep excursion the box must cover.
+
+        One cache-blocked pass: the step sizes are taken in blocks of about
+        _SWEEP_BLOCK (step, node) pairs, and each block evaluates the
+        order+1 shifted lines, forms the difference, raises it to the p-th
+        power and reduces it against the weights in preallocated buffers,
+        so no (order+1)*K by P matrix of line values is ever built.
+        Raises NumericalFailureError if a difference value is not finite.
         """
+        pts, _ = _as_matrix(nodes, self.dimension)
+        terms = self._line_terms(pts, np.asarray(xi, dtype=float))
         ts = np.asarray(ts, dtype=float)
-        coeffs = np.array([math.comb(order, l) * (-1.0) ** (order - l)
-                           for l in range(order + 1)])
-        K = ts.shape[0]
-        taus = np.concatenate([(l - order / 2.0) * ts for l in range(order + 1)])
-        vals = self.line_values(nodes, xi, taus)
-        delta = np.zeros((K, nodes.shape[0]))
-        for l in range(order + 1):
-            delta += coeffs[l] * vals[l * K: (l + 1) * K]
-        if not np.all(np.isfinite(delta)):
-            raise NumericalFailureError("non-finite difference values")
-        return np.abs(delta) ** p @ weights
+        weights = np.asarray(weights, dtype=float)
+        shifts = [(l - order / 2.0, math.comb(order, l) * (-1.0) ** (order - l))
+                  for l in range(order + 1)]
+        K, P = ts.shape[0], pts.shape[0]
+        block = max(1, min(K, _SWEEP_BLOCK // max(P, 1)))
+        buffers = np.empty((4, block, P))
+        finite = np.empty((block, P), dtype=bool)
+        out = np.empty(K)
+        for lo in range(0, K, block):
+            steps = ts[lo:lo + block]
+            n = steps.shape[0]
+            vals, delta, expo, poly = (buf[:n] for buf in buffers)
+            for l, (offset, coeff) in enumerate(shifts):
+                _sum_lines(terms, offset * steps, vals, expo, poly)
+                if l == 0:
+                    np.multiply(vals, coeff, out=delta)
+                else:
+                    if coeff != 1.0:
+                        vals *= coeff
+                    delta += vals
+            if not np.isfinite(delta, out=finite[:n]).all():
+                raise NumericalFailureError("non-finite difference values")
+            _abs_power(delta, p, expo)
+            np.matmul(delta, weights, out=out[lo:lo + n])
+        return out
 
     # -- calculus ----------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Deterministic quadrature for boxes, spheres, and singular radial integrals."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
@@ -32,6 +33,18 @@ _DEFAULT_HALF_WIDTH = 8.0
 _MAX_NODES_PER_AXIS = 640
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached by node count.
+
+    The arrays are shared between callers and therefore read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 class BoxQuadrature:
     """Tensor Gauss-Legendre rule on an axis-aligned or rotated box.
 
@@ -48,7 +61,7 @@ class BoxQuadrature:
         frame = np.asarray(frame, dtype=float)
         one_d = []
         for L, m in zip(half_widths, nodes_per_axis):
-            x, w = np.polynomial.legendre.leggauss(int(m))
+            x, w = _leggauss(int(m))
             one_d.append((x * L, w * L))
         grids = np.meshgrid(*[g[0] for g in one_d], indexing="ij")
         weights = np.ones(1)
@@ -154,7 +167,7 @@ def directional_box(field: AnalyticField, xi: np.ndarray, order: int,
 
 def gauss_legendre_nodes(half_width: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-half_width, half_width]."""
-    x, w = np.polynomial.legendre.leggauss(int(count))
+    x, w = _leggauss(int(count))
     return x * half_width, w * half_width
 
 
@@ -173,14 +186,16 @@ class SphereQuadrature:
 
     N=2: equispaced angles with uniform weights (trapezoid, spectrally
     accurate for periodic integrands). N=3: Gauss-Legendre in cos(theta)
-    times equispaced azimuth. Node sets are antipodally symmetric;
-    `antipode` maps each node index to the index of its negation.
+    times equispaced azimuth. `antipode` maps each node index to the index
+    of its negation; `build_sphere_quadrature` supplies it by construction,
+    and a rule built from arbitrary nodes has None.
     """
 
-    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray,
+                 antipode: np.ndarray | None = None):
         self.nodes = nodes
         self.weights = weights
-        self.antipode = self._antipode_map()
+        self.antipode = antipode
 
     @property
     def dimension(self) -> int:
@@ -189,16 +204,6 @@ class SphereQuadrature:
     @property
     def area(self) -> float:
         return float(self.weights.sum())
-
-    def _antipode_map(self) -> np.ndarray | None:
-        n = self.nodes.shape[0]
-        out = np.full(n, -1, dtype=int)
-        for i in range(n):
-            d = np.linalg.norm(self.nodes + self.nodes[i], axis=1)
-            j = int(np.argmin(d))
-            if d[j] < 1e-9:
-                out[i] = j
-        return out if np.all(out >= 0) else None
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.asarray(values, dtype=float) @ self.weights)
@@ -215,13 +220,13 @@ def build_sphere_quadrature(dimension: int, resolution: int) -> SphereQuadrature
         theta = 2.0 * np.pi * np.arange(n) / n
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         weights = np.full(n, 2.0 * np.pi / n)
-        return SphereQuadrature(nodes, weights)
+        # theta + pi is n/2 steps further round the circle
+        antipode = (np.arange(n) + n // 2) % n
+        return SphereQuadrature(nodes, weights, antipode)
     if dimension == 3:
         n_u = int(resolution)
         n_phi = 2 * n_u
-        if n_phi % 2:
-            n_phi += 1
-        u, wu = np.polynomial.legendre.leggauss(n_u)
+        u, wu = _leggauss(n_u)
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         su = np.sqrt(np.clip(1.0 - u ** 2, 0.0, None))
         nodes = np.empty((n_u * n_phi, 3))
@@ -233,7 +238,12 @@ def build_sphere_quadrature(dimension: int, resolution: int) -> SphereQuadrature
             nodes[k:k + n_phi, 2] = u[i]
             weights[k:k + n_phi] = wu[i] * 2.0 * np.pi / n_phi
             k += n_phi
-        return SphereQuadrature(nodes, weights)
+        # negating a node flips u (Gauss-Legendre nodes are symmetric, so
+        # band n_u - 1 - i) and turns its azimuth by pi (n_phi / 2 steps)
+        band = np.arange(n_u)[:, None]
+        step = np.arange(n_phi)[None, :]
+        antipode = ((n_u - 1 - band) * n_phi + (step + n_phi // 2) % n_phi).ravel()
+        return SphereQuadrature(nodes, weights, antipode)
     raise ValueError("only dimensions 2 and 3 are supported")
 
 
@@ -255,7 +265,7 @@ class RadialQuadrature:
         if not (0 < t_min < t_max):
             raise ValueError("need 0 < t_min < t_max")
         edges = np.exp(np.linspace(math.log(t_min), math.log(t_max), panels + 1))
-        x, w = np.polynomial.legendre.leggauss(panel_order)
+        x, w = _leggauss(int(panel_order))
         nodes = []
         weights = []
         for a, b in zip(edges[:-1], edges[1:]):

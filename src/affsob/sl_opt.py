@@ -316,7 +316,14 @@ def _descend(ctx, start: np.ndarray, opts: OptimizerOptions, grad_fn):
         accepted = False
         for _ in range(opts.max_backtracks):
             candidate = _renormalize(T @ matrix_exp(-step * B))
-            trial = ctx.value(candidate)
+            try:
+                trial = ctx.value(candidate)
+            except ValueError as exc:
+                # the trial map left the range where the composed field is
+                # valid (its precision is no longer positive definite)
+                raise NumericalFailureError(
+                    f"Armijo trial T exp(-{step:g} B) with |B| = {gnorm:.3g} "
+                    f"gives an invalid field: {exc}") from exc
             if np.isfinite(trial) and trial <= value - opts.armijo_c * step * gnorm ** 2:
                 T, value = candidate, trial
                 trace.step_sizes[-1] = step

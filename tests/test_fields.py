@@ -77,6 +77,11 @@ def test_gaussian_rejects_indefinite_precision():
     with pytest.raises(ValueError):
         AnalyticField.gaussian(2, precision=np.diag([1.0, 0.0]))
     AnalyticField.gaussian(2, precision=np.diag([1.0, 0.0]), flat_ok=True)
+    # past condition ~1/eps the smallest eigenvalue is rounding noise
+    c, s = math.cos(0.4), math.sin(0.4)
+    rot = np.array([[c, -s], [s, c]])
+    with pytest.raises(ValueError, match="positive definite"):
+        AnalyticField.gaussian(2, precision=rot @ np.diag([1e-20, 1e20]) @ rot.T)
 
 
 def test_field_sum_and_scaling():

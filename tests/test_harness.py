@@ -233,6 +233,23 @@ def test_cli_missing_config_is_a_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_invalid_descent_trial_is_a_numerical_failure(tmp_path, capsys):
+    # the first Armijo trial from the identity stretches the precision of
+    # aniso past numerical positive definiteness on this coarse bundle
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "dimension": 2, "s": 0.5, "p": 3.0, "field": "aniso",
+        "quadrature": {"box_nodes": 24, "sphere_nodes": 16, "t_panels": 12},
+        "optimizer": {"max_iters": 2},
+    }), encoding="utf-8")
+    rc = cli_main(["optimize", "--config", str(config),
+                   "--out", str(tmp_path / "trace.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: Armijo trial" in err
+    assert "positive definite" in err
+
+
 def test_cli_verify_optimizer_suite(tmp_path, capsys):
     rc = cli_main(["verify", "--suite", "optimizer", "--scale", "0.5",
                    "--out", str(tmp_path)])

@@ -7,10 +7,11 @@ import pytest
 import scipy.integrate
 
 from affsob import (AnalyticField, BoxQuadrature, QuadratureBundle,
-                    RadialQuadrature, RadialSpec, build_sphere_quadrature,
-                    pushforward_weight)
-from affsob.quadrature import (directional_box, gauss_legendre_nodes,
-                               integrate_box, integrate_radial)
+                    RadialQuadrature, RadialSpec, SphereQuadrature,
+                    build_sphere_quadrature, pushforward_weight)
+from affsob.quadrature import (_leggauss, directional_box,
+                               gauss_legendre_nodes, integrate_box,
+                               integrate_radial)
 
 
 def test_sphere_areas_are_exact():
@@ -38,6 +39,46 @@ def test_sphere_nodes_are_antipodally_paired():
     # odd resolutions are rounded up so -node is always a node
     dots = sph.nodes @ sph.nodes.T
     assert np.all(dots.min(axis=1) < -1.0 + 1e-12)
+
+
+def searched_antipode_map(nodes):
+    """Reference: for each node the index of the node nearest its negation,
+    or None if some node has no negation within 1e-9."""
+    out = np.full(nodes.shape[0], -1, dtype=int)
+    for i in range(nodes.shape[0]):
+        d = np.linalg.norm(nodes + nodes[i], axis=1)
+        j = int(np.argmin(d))
+        if d[j] < 1e-9:
+            out[i] = j
+    return out if np.all(out >= 0) else None
+
+
+@pytest.mark.parametrize("dimension, resolutions",
+                         [(2, range(4, 129)), (3, range(4, 25))])
+def test_constructed_antipode_map_matches_search(dimension, resolutions):
+    for resolution in resolutions:
+        sph = build_sphere_quadrature(dimension, resolution)
+        want = searched_antipode_map(sph.nodes)
+        assert want is not None
+        np.testing.assert_array_equal(sph.antipode, want)
+
+
+def test_sphere_from_arbitrary_nodes_has_no_antipode_map():
+    sph = SphereQuadrature(np.array([[0.6, 0.8]]), np.array([1.0]))
+    assert sph.antipode is None
+
+
+def test_cached_gauss_legendre_rules_are_shared_and_read_only():
+    x, w = _leggauss(12)
+    assert _leggauss(12)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    nodes, weights = gauss_legendre_nodes(1.0, 12)
+    nodes[0] = 5.0
+    weights *= 2.0
+    x_np, w_np = np.polynomial.legendre.leggauss(12)
+    np.testing.assert_array_equal(_leggauss(12)[0], x_np)
+    np.testing.assert_array_equal(_leggauss(12)[1], w_np)
 
 
 def test_sphere_validation():
