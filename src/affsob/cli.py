@@ -227,3 +227,7 @@ def main() -> None:
 
 
 __all__ = ["cli_main", "main"]
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "AnalyticField",
     "GridField",
     "SmoothnessParams",
-    "multilinear_norm",
     "multi_indices",
     "multinomial_coefficient",
 ]
@@ -454,25 +453,6 @@ class AnalyticField:
             out = out._directional_derivative_once(xi)
         return out
 
-    def finite_difference(self, h: np.ndarray, order: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Evaluator of Delta^order_h f = sum_l C(order,l)(-1)^(order-l) f(. + l h)."""
-        if order < 1:
-            raise ValueError("difference order must be >= 1")
-        h = np.asarray(h, dtype=float)
-        if h.shape != (self.dimension,):
-            raise DimensionMismatchError("step vector dimension mismatch")
-        coeffs = [(l, math.comb(order, l) * (-1.0) ** (order - l))
-                  for l in range(order + 1)]
-
-        def apply(x: np.ndarray) -> np.ndarray:
-            pts, single = _as_matrix(x, self.dimension)
-            out = np.zeros(pts.shape[0])
-            for l, c in coeffs:
-                out += c * self.evaluate(pts + l * h)
-            return out[0] if single else out
-
-        return apply
-
     def affine_compose(self, matrix: np.ndarray) -> "AnalyticField":
         """Exact f(Mx): new precision M^T A M, mean M^{-1} mu, polynomial q(Mx)."""
         matrix = np.asarray(matrix, dtype=float)
@@ -549,10 +529,6 @@ class AnalyticField:
     def max_poly_degree(self) -> int:
         return max((t.polynomial.degree for t in self.terms), default=0)
 
-    def max_curvature(self) -> float:
-        return max((float(np.linalg.eigvalsh(t.precision).max()) for t in self.terms),
-                   default=1.0)
-
 
 @dataclass(frozen=True)
 class SmoothnessParams:
@@ -622,66 +598,6 @@ def directional_weight_matrix(directions: np.ndarray, alphas: list[tuple[int, ..
         W[:, j] = multinomial_coefficient(alpha) * \
             np.prod(directions ** np.array(alpha), axis=1)
     return W
-
-
-def multilinear_norm(field: AnalyticField, order: int, x: np.ndarray,
-                     sphere) -> float:
-    """Norm of the s-linear form D^s_x f: max over unit xi of |d^s_xi f(x)|.
-
-    For symmetric multilinear forms the maximum over the diagonal equals the
-    full operator norm, so a sphere scan with a local golden-section polish
-    suffices; s in {1, 2} is effectively exact.
-    """
-    alphas = multi_indices(field.dimension, order)
-    derivs = partial_derivative_fields(field, order)
-    pt = np.asarray(x, dtype=float)[None, :]
-    gvals = np.array([derivs[a].evaluate(pt)[0] for a in alphas])
-
-    def value(direction: np.ndarray) -> float:
-        w = directional_weight_matrix(direction[None, :], alphas)[0]
-        return abs(float(w @ gvals))
-
-    vals = np.abs(directional_weight_matrix(sphere.nodes, alphas) @ gvals)
-    best = int(np.argmax(vals))
-    best_val = float(vals[best])
-    best_dir = sphere.nodes[best]
-
-    # golden-section polish along great circles through the best node
-    n = field.dimension
-    for tangent_axis in range(n):
-        t = np.zeros(n)
-        t[tangent_axis] = 1.0
-        t -= (t @ best_dir) * best_dir
-        tn = np.linalg.norm(t)
-        if tn < 1e-12:
-            continue
-        t /= tn
-
-        def along(theta: float) -> float:
-            d = math.cos(theta) * best_dir + math.sin(theta) * t
-            return value(d / np.linalg.norm(d))
-
-        lo, hi = -0.25, 0.25
-        phi = (math.sqrt(5.0) - 1) / 2
-        a, b = lo, hi
-        c1, c2 = b - phi * (b - a), a + phi * (b - a)
-        f1, f2 = along(c1), along(c2)
-        for _ in range(60):
-            if f1 < f2:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + phi * (b - a)
-                f2 = along(c2)
-            else:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - phi * (b - a)
-                f1 = along(c1)
-        theta = 0.5 * (a + b)
-        cand = along(theta)
-        if cand > best_val:
-            best_val = cand
-            d = math.cos(theta) * best_dir + math.sin(theta) * t
-            best_dir = d / np.linalg.norm(d)
-    return best_val
 
 
 class GridField:

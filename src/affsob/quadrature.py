@@ -401,9 +401,6 @@ class QuadratureBundle:
         return BoxQuadrature.fitted(field, base_half_width=self.box_half_width,
                                     base_nodes=self.box_nodes)
 
-    def radial_for(self, s: float, p: float, order: int) -> RadialQuadrature:
-        return RadialQuadrature.for_params(s, p, order, self.radial_spec)
-
     def radial_range(self, t_max: float) -> RadialQuadrature:
         return RadialQuadrature.for_range(self.radial_spec, t_max)
 

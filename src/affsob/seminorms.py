@@ -140,13 +140,7 @@ def _grid_partial_arrays(field: GridField, order: int) -> tuple[list[tuple[int, 
 def _integer_profile_values(field, order: int, p: float,
                             sphere: SphereQuadrature,
                             box: BoxQuadrature | None) -> np.ndarray:
-    if isinstance(field, GridField):
-        alphas, mat = _grid_partial_arrays(field, order)
-        weights = np.full(mat.shape[1], field.cell_volume)
-    else:
-        assert box is not None
-        alphas, mat = _partial_value_matrix(field, order, box.nodes)
-        weights = box.weights
+    alphas, mat, weights = _derivative_samples(field, order, box)
     W = directional_weight_matrix(sphere.nodes, alphas)
     n_pts = mat.shape[1]
     values = np.empty(W.shape[0])
@@ -255,6 +249,47 @@ def directional_energy(field, params: SmoothnessParams, xi: np.ndarray,
     return value
 
 
+def _derivative_samples(field, order: int, box: BoxQuadrature | None
+                        ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """All partial derivatives of one order, one row per multi-index, at
+    the box nodes (the grid points of a GridField), with their weights."""
+    if isinstance(field, GridField):
+        alphas, mat = _grid_partial_arrays(field, order)
+        return alphas, mat, np.full(mat.shape[1], field.cell_volume)
+    assert box is not None
+    alphas, mat = _partial_value_matrix(field, order, box.nodes)
+    return alphas, mat, box.weights
+
+
+def _hessian_stack(alphas: list[tuple[int, ...]], mat: np.ndarray,
+                   dim: int) -> np.ndarray:
+    """Second order samples as one symmetric matrix per point."""
+    hess = np.empty((mat.shape[1], dim, dim))
+    for a, row in zip(alphas, mat):
+        pair = tuple(i for i, reps in enumerate(a) for _ in range(reps))
+        i, j = min(pair), max(pair)
+        hess[:, i, j] = row
+        hess[:, j, i] = row
+    return hess
+
+
+def _hessian_norms(hess: np.ndarray) -> np.ndarray:
+    """Largest |eigenvalue| of each matrix in a symmetric stack."""
+    return np.abs(np.linalg.eigvalsh(hess)).max(axis=1)
+
+
+def _scan_directions(dim: int, sphere: SphereQuadrature) -> np.ndarray:
+    """Directions of the dense scan that stands in for the order >= 3 norm."""
+    return build_sphere_quadrature(dim, 4 * max(sphere.nodes.shape[0], 64)).nodes
+
+
+def _scan_norms(alphas: list[tuple[int, ...]], mat: np.ndarray,
+                directions: np.ndarray) -> np.ndarray:
+    """max over the given directions v of |d^order_v f| at each sample."""
+    W = directional_weight_matrix(directions, alphas)
+    return np.abs(W @ mat).max(axis=0)
+
+
 def _pointwise_derivative_norm(field, order: int, box: BoxQuadrature | None,
                                sphere: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """max over unit xi of |d^order_xi f| at each quadrature point.
@@ -262,32 +297,14 @@ def _pointwise_derivative_norm(field, order: int, box: BoxQuadrature | None,
     Exact for orders 1 and 2 (gradient length, extreme Hessian eigenvalue);
     order >= 3 falls back to a dense scan over sphere directions.
     """
-    if isinstance(field, GridField):
-        alphas, mat = _grid_partial_arrays(field, order)
-        weights = np.full(mat.shape[1], field.cell_volume)
-        dim = field.dimension
-    else:
-        assert box is not None
-        alphas, mat = _partial_value_matrix(field, order, box.nodes)
-        weights = box.weights
-        dim = field.dimension
-
+    alphas, mat, weights = _derivative_samples(field, order, box)
+    dim = field.dimension
     if order == 1:
         norms = np.sqrt(np.sum(mat ** 2, axis=0))
     elif order == 2:
-        npts = mat.shape[1]
-        hess = np.empty((npts, dim, dim))
-        for a, row in zip(alphas, mat):
-            pair = tuple(i for i, reps in enumerate(a) for _ in range(reps))
-            i, j = min(pair), max(pair)
-            hess[:, i, j] = row
-            hess[:, j, i] = row
-        eigs = np.linalg.eigvalsh(hess)
-        norms = np.abs(eigs).max(axis=1)
+        norms = _hessian_norms(_hessian_stack(alphas, mat, dim))
     else:
-        dense = build_sphere_quadrature(dim, 4 * max(sphere.nodes.shape[0], 64))
-        W = directional_weight_matrix(dense.nodes, alphas)
-        norms = np.abs(W @ mat).max(axis=0)
+        norms = _scan_norms(alphas, mat, _scan_directions(dim, sphere))
     return norms, weights
 
 

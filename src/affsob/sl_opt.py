@@ -3,17 +3,26 @@
 The energy of f composed with T, as T ranges over the determinant-one group,
 attains its minimum; at a minimizer every direction carries a comparable
 share of the energy.  This module provides the descent machinery: a matrix
-manifold retraction T -> T exp(-eta B) with B trace free, the exact first
-order gradient for first order smoothness, finite-difference gradients for
-everything else, critical-point residuals, and the stretch-one-direction
-step whose strict descent certifies that a direction was too weak.
+manifold retraction T -> T exp(-eta B) with B trace free, exact gradients,
+finite-difference gradients, critical-point residuals, and the
+stretch-one-direction step whose strict descent certifies that a direction
+was too weak.
 
-First order objectives are evaluated through a change of variables: with
-det T = 1, the integral of |T^t grad f(Tx)|^p equals that of |T^t grad f|^p
-on the original coordinates, so one batch of gradient samples on a fixed
-box serves every T.  That keeps the discrete objective smooth in T, which
-the Armijo search needs near convergence.  The public objective() sticks to
-the literal composition path and is used for all reported values.
+The descent never composes a field.  With det T = 1, changes of variables
+let samples of f taken once at T = I serve every T:
+
+- s = 1: the integral of |T^t grad f(Tx)|^p equals that of |T^t grad f|^p
+  over the original box;
+- fractional s: |f o T|_{s,p}^p = int_S |T^{-1} eta|^{-(N+sp)} D(f, eta)
+  dsigma(eta), so one directional profile of f suffices;
+- integer s >= 2: the s-th derivative of f o T along xi is that of f along
+  T xi, applied to the order-s partials of f on the original box.
+
+The first two are moment objectives with an exact gradient; the third uses
+central differences on its fixed samples.  Fixed samples keep the discrete
+objective smooth in T, which the Armijo search needs near convergence.  The
+public objective() sticks to the literal composition path and is used for
+all reported values.
 """
 
 from __future__ import annotations
@@ -25,7 +34,9 @@ import numpy as np
 
 from .fields import AnalyticField, NumericalFailureError, SmoothnessParams
 from .quadrature import QuadratureBundle
-from .seminorms import directional_profile, seminorm
+from .seminorms import (_derivative_samples, _hessian_norms, _hessian_stack,
+                        _scan_directions, _scan_norms, directional_profile,
+                        seminorm)
 
 _DET_TOL = 1e-9
 
@@ -161,102 +172,131 @@ def objective(field, T, params: SmoothnessParams, quads: QuadratureBundle) -> fl
     return seminorm(field.affine_compose(m), params, quads)
 
 
-class _FirstOrderContext:
-    """Fixed-node evaluator for first order objectives and gradients.
+class _MomentContext:
+    """Fixed-sample evaluator for objectives of the form
+    (sum_i w_i |v_i|^q)^{1/p}, where v_i = T^t x_i, or v_i = T^{-1} x_i
+    when `inverse` is set.  Vectors and weights are taken once at T = I;
+    every T then costs one matrix product.
 
-    Precomputes grad f on the base box once; every T then costs one matrix
-    product.  Valid because det T = 1 makes x -> Tx measure preserving.
+    The objective along T exp(eps M) moves by rate * <S, M> with the moment
+    S = sum_i w_i |v_i|^{q-2} v_i v_i^t, whose trace is the p-th power of
+    the objective, so the gradient is exact.
     """
 
-    def __init__(self, field: AnalyticField, p: float, quads: QuadratureBundle):
-        box = quads.box_for(field)
+    def __init__(self, vectors: np.ndarray, weights: np.ndarray, q: float,
+                 p: float, inverse: bool = False):
+        self.vectors = vectors
+        self.weights = weights
+        self.q = float(q)
         self.p = float(p)
-        self.weights = box.weights
-        self.grads = np.column_stack([
-            field.partial_derivative(axis).evaluate(box.nodes)
-            for axis in range(field.dimension)])
-        self.dimension = field.dimension
+        self.inverse = inverse
+        self.dimension = vectors.shape[1]
 
-    def energy_power(self, matrix: np.ndarray) -> float:
-        speeds = np.linalg.norm(self.grads @ matrix, axis=1)
-        return float(self.weights @ speeds ** self.p)
+    def _images(self, matrix: np.ndarray) -> np.ndarray:
+        if self.inverse:
+            return self.vectors @ np.linalg.inv(matrix).T
+        return self.vectors @ matrix
 
     def value(self, matrix: np.ndarray) -> float:
-        return self.energy_power(matrix) ** (1.0 / self.p)
+        speeds = np.linalg.norm(self._images(matrix), axis=1)
+        return float(self.weights @ speeds ** self.q) ** (1.0 / self.p)
 
     def moment_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """S = int |v|^{p-2} v v^t with v = T^t grad f, the symmetric moment
-        whose trace is the p-th power of the objective."""
-        v = self.grads @ matrix
+        """S = sum_i w_i |v_i|^{q-2} v_i v_i^t, the symmetric moment whose
+        trace is the p-th power of the objective."""
+        v = self._images(matrix)
         speeds = np.linalg.norm(v, axis=1)
-        if self.p < 2.0:
-            scale = np.where(speeds > 0.0, speeds ** (self.p - 2.0), 0.0)
+        if self.q < 2.0:
+            scale = np.where(speeds > 0.0, speeds ** (self.q - 2.0), 0.0)
         else:
-            scale = speeds ** (self.p - 2.0)
+            scale = speeds ** (self.q - 2.0)
         return (v * (scale * self.weights)[:, None]).T @ v
 
     def gradient(self, matrix: np.ndarray) -> np.ndarray:
         s = self.moment_matrix(matrix)
         power = np.trace(s)
         projected = s - (power / self.dimension) * np.eye(self.dimension)
-        return power ** (1.0 / self.p - 1.0) * projected
+        # d|v|^q = q |v|^{q-2} <v v^t, M> for v = T^t x, and the negative
+        # of that for v = T^{-1} x; first order has rate exactly 1
+        rate = (-self.q if self.inverse else self.q) / self.p
+        return rate * power ** (1.0 / self.p - 1.0) * projected
 
 
-class _SecondOrderContext:
-    """Fixed-node evaluator for the second order objective: the operator
-    norm of T^t H(y) T integrated over the base box."""
+def _first_order_context(field: AnalyticField, p: float,
+                         quads: QuadratureBundle) -> _MomentContext:
+    """grad f on the base box: with det T = 1, x -> Tx preserves measure,
+    so |f o T|_{1,p}^p = int |T^t grad f|^p over the original box."""
+    box = quads.box_for(field)
+    grads = np.column_stack([
+        field.partial_derivative(axis).evaluate(box.nodes)
+        for axis in range(field.dimension)])
+    return _MomentContext(grads, box.weights, p, p)
 
-    def __init__(self, field: AnalyticField, p: float, quads: QuadratureBundle):
-        box = quads.box_for(field)
-        self.p = float(p)
-        self.weights = box.weights
-        n = field.dimension
-        hess = np.empty((box.nodes.shape[0], n, n))
-        for i in range(n):
-            gi = field.partial_derivative(i)
-            for j in range(i, n):
-                vals = gi.partial_derivative(j).evaluate(box.nodes)
-                hess[:, i, j] = vals
-                hess[:, j, i] = vals
-        self.hessians = hess
-        self.dimension = n
+
+def _fractional_context(field: AnalyticField, params: SmoothnessParams,
+                        quads: QuadratureBundle) -> _MomentContext:
+    """One directional profile at T = I: with det T = 1,
+    |f o T|_{s,p}^p = int_S |T^{-1} eta|^{-(N+sp)} D(f, eta) dsigma(eta)."""
+    profile = directional_profile(field, params, quads)
+    sphere = profile.sphere
+    n = field.dimension
+    return _MomentContext(sphere.nodes, sphere.weights * profile.values,
+                          -(n + params.s * params.p), params.p, inverse=True)
+
+
+class _DerivativeNormContext:
+    """Fixed-sample evaluator for integer order k >= 2: the semi-norm's
+    pointwise derivative norm with T applied to the order-k partials of f
+    taken once on the base box.  The k-th derivative of f o T along xi is
+    that of f along T xi, so order 2 uses T^t H T and higher orders scan
+    the directions T xi.  Gradients are central differences of value().
+    """
+
+    def __init__(self, field: AnalyticField, params: SmoothnessParams,
+                 quads: QuadratureBundle, fd_epsilon: float):
+        self.field, self.params, self.quads = field, params, quads
+        self.fd_epsilon = fd_epsilon
+        self.p = float(params.p)
+        self.order = params.difference_order
+        self.dimension = field.dimension
+        self.alphas, samples, self.weights = _derivative_samples(
+            field, self.order, quads.box_for(field))
+        if self.order == 2:
+            self.hessians = _hessian_stack(self.alphas, samples, self.dimension)
+        else:
+            self.samples = samples
+            self.directions = _scan_directions(self.dimension, quads.sphere)
 
     def value(self, matrix: np.ndarray) -> float:
-        transformed = matrix.T @ self.hessians @ matrix
-        tops = np.max(np.abs(np.linalg.eigvalsh(transformed)), axis=1)
+        if self.order == 2:
+            tops = _hessian_norms(matrix.T @ self.hessians @ matrix)
+        else:
+            tops = _scan_norms(self.alphas, self.samples,
+                               self.directions @ matrix.T)
         return float(self.weights @ tops ** self.p) ** (1.0 / self.p)
 
-
-class _ComposedContext:
-    """Fallback evaluator: literal composition then the semi-norm."""
-
-    def __init__(self, field, params: SmoothnessParams, quads: QuadratureBundle):
-        self.field = field
-        self.params = params
-        self.quads = quads
-        self.dimension = field.dimension
-
-    def value(self, matrix: np.ndarray) -> float:
-        return objective(self.field, matrix, self.params, self.quads)
+    def gradient(self, matrix: np.ndarray) -> np.ndarray:
+        return numeric_gradient(self.field, matrix, self.params, self.quads,
+                                fd_epsilon=self.fd_epsilon,
+                                _value_fn=self.value)
 
 
-def _context(field, params: SmoothnessParams, quads: QuadratureBundle):
-    if not params.fractional and not isinstance(field, AnalyticField):
-        return _ComposedContext(field, params, quads)
-    if not params.fractional and params.difference_order == 1:
-        return _FirstOrderContext(field, params.p, quads)
-    if not params.fractional and params.difference_order == 2:
-        return _SecondOrderContext(field, params.p, quads)
-    return _ComposedContext(field, params, quads)
+def _context(field: AnalyticField, params: SmoothnessParams,
+             quads: QuadratureBundle, fd_epsilon: float):
+    if params.fractional:
+        return _fractional_context(field, params, quads)
+    if params.difference_order == 1:
+        return _first_order_context(field, params.p, quads)
+    return _DerivativeNormContext(field, params, quads, fd_epsilon)
 
 
 def exact_gradient_s1(field, T, p: float, quads: QuadratureBundle,
-                      context: _FirstOrderContext | None = None) -> np.ndarray:
+                      context: _MomentContext | None = None) -> np.ndarray:
     """Gradient of T -> |f o T|_{W^{1,p}} along the retraction T exp(eps M),
     projected onto the trace-free tangent.  For p < 2 the integrand is taken
     on the set where the gradient does not vanish, which identifies the
     almost-everywhere derivative."""
-    ctx = context or _FirstOrderContext(field, p, quads)
+    ctx = context or _first_order_context(field, p, quads)
     return ctx.gradient(_as_matrix(T))
 
 
@@ -299,14 +339,14 @@ def _renormalize(matrix: np.ndarray) -> np.ndarray:
     return matrix / det ** (1.0 / matrix.shape[0])
 
 
-def _descend(ctx, start: np.ndarray, opts: OptimizerOptions, grad_fn):
+def _descend(ctx, start: np.ndarray, opts: OptimizerOptions):
     trace = OptimizerTrace()
     T = _renormalize(start.copy())
     value = ctx.value(T)
     if not np.isfinite(value):
         raise NumericalFailureError("objective non-finite at the start point")
     for _ in range(opts.max_iters):
-        B = grad_fn(T)
+        B = ctx.gradient(T)
         gnorm = float(np.linalg.norm(B))
         trace.record(value, gnorm, 0.0, T)
         if gnorm <= opts.grad_tol * max(value, 1e-300):
@@ -316,14 +356,7 @@ def _descend(ctx, start: np.ndarray, opts: OptimizerOptions, grad_fn):
         accepted = False
         for _ in range(opts.max_backtracks):
             candidate = _renormalize(T @ matrix_exp(-step * B))
-            try:
-                trial = ctx.value(candidate)
-            except ValueError as exc:
-                # the trial map left the range where the composed field is
-                # valid (its precision is no longer positive definite)
-                raise NumericalFailureError(
-                    f"Armijo trial T exp(-{step:g} B) with |B| = {gnorm:.3g} "
-                    f"gives an invalid field: {exc}") from exc
+            trial = ctx.value(candidate)
             if np.isfinite(trial) and trial <= value - opts.armijo_c * step * gnorm ** 2:
                 T, value = candidate, trial
                 trace.step_sizes[-1] = step
@@ -342,25 +375,21 @@ def minimize(field, params: SmoothnessParams, opts: OptimizerOptions,
              quads: QuadratureBundle):
     """Minimize T -> |f o T|_{W^{s,p}} over determinant-one matrices.
 
-    Monotone Armijo descent with the retraction T exp(-eta B); B is the
-    exact gradient for first order smoothness and a central-difference
-    gradient otherwise.  Returns (T*, value, trace) with T* polar-aligned
-    (its free rotation factor removed) and value recomputed through the
-    public composition objective.
+    Monotone Armijo descent with the retraction T exp(-eta B) on the
+    fixed-sample objective of _context; B is the exact gradient at s = 1
+    and at fractional s and a central-difference gradient at integer
+    s >= 2.  Returns (T*, value, trace) with T* polar-aligned (its free
+    rotation factor removed) and value recomputed through the public
+    composition objective.
     """
+    if not isinstance(field, AnalyticField):
+        raise ValueError(f"minimize needs an AnalyticField, got "
+                         f"{type(field).__name__}")
     n = field.dimension
-    ctx = _context(field, params, quads)
-    if isinstance(ctx, _FirstOrderContext):
-        grad_fn = ctx.gradient
-    else:
-        def grad_fn(T):
-            return numeric_gradient(field, T, params, quads,
-                                    fd_epsilon=opts.fd_epsilon,
-                                    _value_fn=ctx.value)
-
     base_value = objective(field, np.eye(n), params, quads)
     if not np.isfinite(base_value) or base_value <= 0.0:
         raise ValueError("field has no smoothness energy to minimize")
+    ctx = _context(field, params, quads, opts.fd_epsilon)
 
     starts = [np.eye(n)]
     rng = np.random.default_rng(7)
@@ -368,7 +397,7 @@ def minimize(field, params: SmoothnessParams, opts: OptimizerOptions,
 
     best = None
     for start in starts:
-        T, value, trace = _descend(ctx, start, opts, grad_fn)
+        T, value, trace = _descend(ctx, start, opts)
         if best is None or value < best[1]:
             best = (T, value, trace)
     T, fast_value, trace = best
@@ -383,11 +412,11 @@ def minimize(field, params: SmoothnessParams, opts: OptimizerOptions,
 
 
 def critical_residuals(field, T, p: float, quads: QuadratureBundle,
-                       context: _FirstOrderContext | None = None):
+                       context: _MomentContext | None = None):
     """First order criticality defects at T, both normalized by the energy:
     r_general maxes |<S, M>| over a trace-free basis, r_diag compares the
     first diagonal moment against the equidistributed share tr(S)/N."""
-    ctx = context or _FirstOrderContext(field, p, quads)
+    ctx = context or _first_order_context(field, p, quads)
     s = ctx.moment_matrix(_as_matrix(T))
     total = np.trace(s)
     if total <= 0:

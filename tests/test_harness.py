@@ -1,10 +1,15 @@
 """Run configuration, reporting surfaces, CLI exit codes, suite plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import affsob
 from affsob import (CheckResult, CheckSpec, ConfigError, VerificationReport,
                     cli_main, config_from_dict, merge_reports, parse_config,
                     write_plot_csv)
@@ -233,9 +238,9 @@ def test_cli_missing_config_is_a_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cli_invalid_descent_trial_is_a_numerical_failure(tmp_path, capsys):
-    # the first Armijo trial from the identity stretches the precision of
-    # aniso past numerical positive definiteness on this coarse bundle
+def test_cli_optimize_on_a_coarse_fractional_bundle(tmp_path, capsys):
+    # descent runs on one profile of aniso, so no trial composes a field
+    # and even this coarse bundle finds the closed-form minimizer
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "dimension": 2, "s": 0.5, "p": 3.0, "field": "aniso",
@@ -244,10 +249,41 @@ def test_cli_invalid_descent_trial_is_a_numerical_failure(tmp_path, capsys):
     }), encoding="utf-8")
     rc = cli_main(["optimize", "--config", str(config),
                    "--out", str(tmp_path / "trace.csv")])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()[1:3]
+    matrix = np.array([[float(x) for x in row.split()] for row in rows])
+    np.testing.assert_allclose(matrix, np.diag([2.0 ** -0.5, 2.0 ** 0.5]),
+                               atol=1e-2)
+
+
+def test_cli_non_finite_field_is_a_numerical_failure(tmp_path, capsys):
+    # two 1e308 terms overflow to inf where they overlap
+    term = {"coefficient": 1e308, "polynomial": {"0,0": 1.0},
+            "mean": [0.0, 0.0], "precision": [[1.0, 0.0], [0.0, 1.0]]}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "dimension": 2, "s": 0.5, "p": 2.0, "field": {"terms": [term, term]},
+        "quadrature": {"box_nodes": 24, "sphere_nodes": 16, "t_panels": 12},
+    }), encoding="utf-8")
+    rc = cli_main(["optimize", "--config", str(config)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "numerical failure: Armijo trial" in err
-    assert "positive definite" in err
+    assert "numerical failure: non-finite integrand values on the box" in err
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(affsob.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-m", "affsob.cli", "constants", "--formula",
+         "c1-first", "--N", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    value, argmax = (float(x) for x in done.stdout.split())
+    assert value == pytest.approx(0.0669872981, rel=1e-8)
+    assert argmax == pytest.approx(3.7320508, rel=1e-6)
 
 
 def test_cli_verify_optimizer_suite(tmp_path, capsys):

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from affsob import (AnalyticField, NumericalFailureError, OptimizerOptions,
-                    OptimizerTrace, SmoothnessParams, UnimodularTransform,
+from affsob import (AnalyticField, GridField, NumericalFailureError,
+                    OptimizerOptions, OptimizerTrace, QuadratureBundle,
+                    SmoothnessParams, UnimodularTransform,
                     critical_residuals, descent_step,
                     directional_lower_bound_check, exact_gradient_s1,
                     matrix_exp, minimize, numeric_gradient, objective,
                     polar_align, random_unimodular, seminorm, sl_basis)
 from affsob.constants import c1_first_approach
 from affsob.family import strong_shear_members
+from affsob.sl_opt import _context
 
 P12 = SmoothnessParams(1.0, 2.0)
 
@@ -70,11 +72,37 @@ def test_objective_at_identity_is_the_seminorm(aniso, bundle2):
         pytest.approx(seminorm(aniso, P12, bundle2), rel=1e-12)
 
 
-def test_exact_gradient_agrees_with_central_differences(aniso, bundle2, rng):
+@pytest.mark.parametrize("field_name", ["aniso", "hermite"])
+@pytest.mark.parametrize("s", [0.5, 1.5])
+def test_pushforward_objective_matches_literal_composition(
+        field_name, s, lean2, request):
+    # one profile of f, reweighted by |T^-1 eta|^-(N+sp), against a fresh
+    # profile of the composed field
+    field = request.getfixturevalue(field_name)
+    params = SmoothnessParams(s, 2.0)
+    ctx = _context(field, params, lean2, 1e-5)
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        t = random_unimodular(rng, 2, condition_range=(1.0, 1.5))
+        assert ctx.value(t) == pytest.approx(
+            objective(field, t, params, lean2), rel=1e-8)
+
+
+@pytest.mark.parametrize("s,p", [(1.0, 2.0), (0.5, 3.0), (1.5, 2.0)])
+def test_exact_gradient_agrees_with_central_differences(s, p, aniso, bundle2,
+                                                        lean2, rng):
     t = random_unimodular(rng, 2)
-    exact = exact_gradient_s1(aniso, t, 2.0, bundle2)
-    numeric = numeric_gradient(aniso, t, P12, bundle2)
-    np.testing.assert_allclose(exact, numeric, atol=1e-8)
+    params = SmoothnessParams(s, p)
+    if params.fractional:
+        ctx = _context(aniso, params, lean2, 1e-5)
+        exact = ctx.gradient(t)
+        numeric = numeric_gradient(aniso, t, params, lean2,
+                                   _value_fn=ctx.value)
+    else:
+        exact = exact_gradient_s1(aniso, t, p, bundle2)
+        numeric = numeric_gradient(aniso, t, params, bundle2)
+    np.testing.assert_allclose(exact, numeric,
+                               atol=1e-8 * max(1.0, np.abs(exact).max()))
 
 
 def test_minimize_anisotropic_gaussian(aniso, bundle2):
@@ -84,6 +112,32 @@ def test_minimize_anisotropic_gaussian(aniso, bundle2):
     np.testing.assert_allclose(t.matrix, want, atol=1e-4)
     assert trace.objectives[0] >= value
     assert trace.terminal_reason
+
+
+@pytest.mark.parametrize("s,p", [(0.5, 3.0), (1.5, 2.0), (0.75, 1.5)])
+def test_minimize_fractional_anisotropic_gaussian(s, p, aniso, radial, lean2):
+    # aniso o diag(2^-1/2, 2^1/2) is radial(sqrt(2) x), and scaling x by
+    # lambda scales |.|_{s,p} by lambda^{s - N/p}
+    params = SmoothnessParams(s, p)
+    t, value, trace = minimize(aniso, params, OptimizerOptions(), lean2)
+    np.testing.assert_allclose(t.matrix, np.diag([2.0 ** -0.5, 2.0 ** 0.5]),
+                               atol=2e-3)
+    want = 2.0 ** ((s - 2.0 / p) / 2.0) * seminorm(radial, params, lean2)
+    assert value == pytest.approx(want, rel=1e-5)
+    assert value < trace.objectives[0]
+
+
+def test_minimize_descends_at_third_order(aniso, lean2):
+    t, value, trace = minimize(aniso, SmoothnessParams(3.0, 2.0),
+                               OptimizerOptions(max_iters=5), lean2)
+    assert value < 0.75 * trace.objectives[0]
+    assert np.linalg.det(t.matrix) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_minimize_rejects_grid_fields():
+    grid = GridField(np.full(2, -1.0), np.full(2, 0.5), np.ones((5, 5)), 1.0)
+    with pytest.raises(ValueError, match="GridField"):
+        minimize(grid, P12, OptimizerOptions(), QuadratureBundle.default(2))
 
 
 def test_minimize_radial_exits_at_identity(radial, bundle2):
