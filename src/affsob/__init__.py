@@ -32,6 +32,14 @@ from .sl_opt import (DirectionalBoundReport, OptimizerOptions, OptimizerTrace,
 from .suites import (CheckSpec, run_suite, suite_core_identities,
                      suite_inequalities, suite_no_improvement,
                      suite_optimizer)
-from .cli import cli_main
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    # the CLI loads on first use, so `python -m affsob.cli` does not find
+    # affsob.cli already imported by the package
+    if name == "cli_main":
+        from .cli import cli_main
+        return cli_main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,8 +19,8 @@ __all__ = [
     "integrate_box",
     "build_sphere_quadrature",
     "directional_box",
+    "separation_scale",
     "gauss_legendre_nodes",
-    "integrate_radial",
     "radial_from_samples",
     "pushforward_weight",
 ]
@@ -107,10 +107,6 @@ class BoxQuadrature:
             nodes.append(min(max(m, m0 // 2, 8), _MAX_NODES_PER_AXIS))
         return cls(half_widths, tuple(nodes), frame=eigvec)
 
-    def scaled_resolution(self, factor: float) -> "BoxQuadrature":
-        nodes = tuple(max(8, int(round(m * factor))) for m in self.nodes_per_axis)
-        return BoxQuadrature(self.half_widths, nodes, frame=self.frame)
-
     def support_width(self, direction: np.ndarray) -> float:
         """Support function of the box along a unit direction."""
         return float(np.abs(self.frame.T @ direction) @ self.half_widths)
@@ -132,6 +128,24 @@ def _frame_through(xi: np.ndarray) -> np.ndarray:
     return np.eye(n) - 2.0 * np.outer(v, v) / nv
 
 
+def _support_widths(field: AnalyticField, frame: np.ndarray,
+                    base_half_width: float | None) -> np.ndarray:
+    """Half widths of the field's effective support along the frame axes:
+    the support function of its spread ellipsoid, padded for polynomials."""
+    L0 = _DEFAULT_HALF_WIDTH if base_half_width is None else float(base_half_width)
+    env = field.covariance_envelope()
+    pad = 1.0 + 0.06 * field.max_poly_degree()
+    spread = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", frame.T, env, frame.T), 1e-8, None))
+    return np.minimum(L0 * pad * spread, 4.0 * L0)
+
+
+def separation_scale(field: AnalyticField, xi: np.ndarray,
+                     base_half_width: float | None = None) -> float:
+    """The t_sep of directional_box, without building the box."""
+    frame = _frame_through(np.asarray(xi, dtype=float))
+    return _SEPARATION_FACTOR * float(_support_widths(field, frame, base_half_width)[0])
+
+
 def directional_box(field: AnalyticField, xi: np.ndarray, order: int,
                     base_half_width: float | None = None,
                     node_scale: float = 1.0) -> tuple[BoxQuadrature, float]:
@@ -148,11 +162,7 @@ def directional_box(field: AnalyticField, xi: np.ndarray, order: int,
     """
     frame = _frame_through(np.asarray(xi, dtype=float))
     n = frame.shape[0]
-    L0 = _DEFAULT_HALF_WIDTH if base_half_width is None else float(base_half_width)
-    env = field.covariance_envelope()
-    pad = 1.0 + 0.06 * field.max_poly_degree()
-    spread = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", frame.T, env, frame.T), 1e-8, None))
-    widths = np.minimum(L0 * pad * spread, 4.0 * L0)
+    widths = _support_widths(field, frame, base_half_width)
     t_sep = _SEPARATION_FACTOR * widths[0]
     widths[0] += 0.5 * order * t_sep
     density = _DENSITY[n] * node_scale
@@ -255,7 +265,6 @@ class RadialSpec:
     t_max: float = 1e3
     panels: int = 40
     panel_order: int = 8
-    tail_rel_budget: float = 1e-8
 
 
 class RadialQuadrature:
@@ -279,32 +288,12 @@ class RadialQuadrature:
         self.weights = np.concatenate(weights)
 
     @classmethod
-    def for_params(cls, s: float, p: float, order: int,
-                   spec: RadialSpec = RadialSpec()) -> "RadialQuadrature":
-        """Raise t_max until the tail bound (relative to ||f||_p^p) fits budget.
-
-        The tail above t_max is below 2^{mp} ||f||_p^p t_max^{-sp} / (sp), so
-        requiring it under budget * ||f||_p^p removes the field dependence.
-        """
-        sp = s * p
-        needed = (2.0 ** (order * p) / (sp * spec.tail_rel_budget)) ** (1.0 / sp)
-        t_max = max(spec.t_max, needed)
-        decades = math.log(t_max / spec.t_min) / math.log(spec.t_max / spec.t_min)
-        panels = max(spec.panels, int(math.ceil(spec.panels * decades)))
-        return cls(spec.t_min, t_max, panels, spec.panel_order)
-
-    @classmethod
     def for_range(cls, spec: RadialSpec, t_max: float) -> "RadialQuadrature":
         """Panels over [t_min, t_max] at the spec's per-decade density."""
         t_max = max(t_max, spec.t_min * 10.0)
         ratio = math.log(t_max / spec.t_min) / math.log(spec.t_max / spec.t_min)
         panels = max(8, int(math.ceil(spec.panels * ratio)))
         return cls(spec.t_min, t_max, panels, spec.panel_order)
-
-    def scaled_resolution(self, factor: float) -> "RadialQuadrature":
-        return RadialQuadrature(self.t_min, self.t_max,
-                                max(4, int(round(self.panels * factor))),
-                                self.panel_order)
 
 
 def radial_from_samples(samples: np.ndarray, s: float, p: float, order: int,
@@ -340,14 +329,6 @@ def radial_from_samples(samples: np.ndarray, s: float, p: float, order: int,
         sup_bound = float(samples.max())
     tail_width = sup_bound * rq.t_max ** (-sp) / sp
     return body + head + 0.5 * tail_width, tail_width
-
-
-def integrate_radial(g: Callable[[np.ndarray], np.ndarray], s: float, p: float,
-                     order: int, rq: RadialQuadrature,
-                     sup_bound: float | None = None) -> tuple[float, float]:
-    """Integrate t^{-sp-1} g(t) over (0, inf) with head model and tail bound."""
-    samples = np.asarray(g(rq.nodes), dtype=float)
-    return radial_from_samples(samples, s, p, order, rq, sup_bound=sup_bound)
 
 
 def pushforward_weight(matrix: np.ndarray, omega: np.ndarray) -> float:
@@ -414,8 +395,7 @@ class QuadratureBundle:
     def scaled(self, factor: float) -> "QuadratureBundle":
         spec = RadialSpec(self.radial_spec.t_min, self.radial_spec.t_max,
                           max(4, int(round(self.radial_spec.panels * factor))),
-                          self.radial_spec.panel_order,
-                          self.radial_spec.tail_rel_budget)
+                          self.radial_spec.panel_order)
         return QuadratureBundle(
             self.dimension,
             max(4, int(round(self.sphere_resolution * factor))),

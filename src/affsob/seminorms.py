@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autocorrelation import exact_difference_energy
 from .fields import (
     AnalyticField,
     GridField,
@@ -33,6 +34,7 @@ from .quadrature import (
     gauss_legendre_nodes,
     integrate_box,
     radial_from_samples,
+    separation_scale,
 )
 
 # a direction is treated as energetically dead below this fraction of the peak
@@ -187,10 +189,6 @@ def directional_profile(field, params: SmoothnessParams,
     order = params.difference_order if difference_order is None else int(difference_order)
     if order <= params.s:
         raise ValueError("difference order must exceed s")
-    if box is None:
-        box = quads.box_for(field)
-    fpp = integrate_box(lambda pts: np.abs(field.evaluate(pts)) ** params.p, box)
-    far_constant = _separated_lobes_constant(order, params.p) * fpp
 
     values = np.empty(n)
     tails = np.empty(n)
@@ -198,9 +196,8 @@ def directional_profile(field, params: SmoothnessParams,
         targets = [j for j in range(n) if sphere.antipode[j] >= j]
     else:
         targets = list(range(n))
-    for j in targets:
-        values[j], tails[j] = _directional_radial_energy(
-            field, sphere.nodes[j], params.s, params.p, order, quads, far_constant)
+    values[targets], tails[targets] = _radial_energies(
+        field, sphere.nodes[targets], params.s, params.p, order, quads, box)
     if exploit_symmetry and sphere.antipode is not None:
         # reversing the step direction leaves the difference L^p norm unchanged
         # (translate by order*h and flip sign), so antipodes share their energy
@@ -211,16 +208,44 @@ def directional_profile(field, params: SmoothnessParams,
     return DirectionalEnergyProfile(params, sphere, values, tails)
 
 
-def _directional_radial_energy(field: AnalyticField, xi: np.ndarray, s: float,
-                               p: float, order: int, quads: QuadratureBundle,
-                               far_constant: float) -> tuple[float, float]:
-    """Radial energy along one direction: elongated near-field box sweep up
-    to the lobe-separation scale, then the exact separated-lobes far field."""
-    dbox, t_sep = quads.directional_box_for(field, xi, order)
-    rq = quads.radial_range(t_sep)
-    samples = field.difference_lp_samples(
-        xi, rq.nodes, order, p, dbox.nodes, dbox.weights)
-    return radial_from_samples(samples, s, p, order, rq, far_constant=far_constant)
+def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
+                     p: float, order: int, quads: QuadratureBundle,
+                     box: BoxQuadrature | None) -> tuple[np.ndarray, np.ndarray]:
+    """Radial energy along each direction: samples of the difference energy
+    up to the lobe-separation scale t_sep, then the exact separated-lobes
+    far field.
+
+    At p = 2 the samples are exact (autocorrelation closed form with a
+    Taylor head, see autocorrelation.py) when every direction has a head;
+    otherwise an elongated box is swept per direction.  `box` only serves
+    the sweep's ||f||_p^p.
+    """
+    exact = exact_difference_energy(field, order) if p == 2.0 else None
+    heads = [exact.head(xi) for xi in directions] if exact is not None else []
+    if exact is not None and all(h is not None for h in heads):
+        far_constant = _separated_lobes_constant(order, p) * exact.norm_sq
+    else:
+        exact = None
+        if box is None:
+            box = quads.box_for(field)
+        fpp = integrate_box(lambda pts: np.abs(field.evaluate(pts)) ** p, box)
+        far_constant = _separated_lobes_constant(order, p) * fpp
+
+    values = np.empty(directions.shape[0])
+    tails = np.empty(directions.shape[0])
+    for j, xi in enumerate(directions):
+        if exact is not None:
+            rq = quads.radial_range(
+                separation_scale(field, xi, quads.box_half_width))
+            samples = exact.samples(xi, rq.nodes, heads[j])
+        else:
+            dbox, t_sep = quads.directional_box_for(field, xi, order)
+            rq = quads.radial_range(t_sep)
+            samples = field.difference_lp_samples(
+                xi, rq.nodes, order, p, dbox.nodes, dbox.weights)
+        values[j], tails[j] = radial_from_samples(
+            samples, s, p, order, rq, far_constant=far_constant)
+    return values, tails
 
 
 def directional_energy(field, params: SmoothnessParams, xi: np.ndarray,
@@ -239,14 +264,9 @@ def directional_energy(field, params: SmoothnessParams, xi: np.ndarray,
         single = SphereQuadrature(xi[None, :], np.array([1.0]))
         return float(_integer_profile_values(field, order, params.p, single, box)[0])
 
-    order = params.difference_order
-    if box is None:
-        box = quads.box_for(field)
-    fpp = integrate_box(lambda pts: np.abs(field.evaluate(pts)) ** params.p, box)
-    far_constant = _separated_lobes_constant(order, params.p) * fpp
-    value, _ = _directional_radial_energy(
-        field, xi, params.s, params.p, order, quads, far_constant)
-    return value
+    values, _ = _radial_energies(field, xi[None, :], params.s, params.p,
+                                 params.difference_order, quads, box)
+    return float(values[0])
 
 
 def _derivative_samples(field, order: int, box: BoxQuadrature | None

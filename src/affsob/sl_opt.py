@@ -34,9 +34,9 @@ import numpy as np
 
 from .fields import AnalyticField, NumericalFailureError, SmoothnessParams
 from .quadrature import QuadratureBundle
-from .seminorms import (_derivative_samples, _hessian_norms, _hessian_stack,
-                        _scan_directions, _scan_norms, directional_profile,
-                        seminorm)
+from .seminorms import (DirectionalEnergyProfile, _derivative_samples,
+                        _hessian_norms, _hessian_stack, _scan_directions,
+                        _scan_norms, directional_profile, seminorm)
 
 _DET_TOL = 1e-9
 
@@ -233,15 +233,13 @@ def _first_order_context(field: AnalyticField, p: float,
     return _MomentContext(grads, box.weights, p, p)
 
 
-def _fractional_context(field: AnalyticField, params: SmoothnessParams,
-                        quads: QuadratureBundle) -> _MomentContext:
+def _fractional_context(profile: DirectionalEnergyProfile) -> _MomentContext:
     """One directional profile at T = I: with det T = 1,
     |f o T|_{s,p}^p = int_S |T^{-1} eta|^{-(N+sp)} D(f, eta) dsigma(eta)."""
-    profile = directional_profile(field, params, quads)
-    sphere = profile.sphere
-    n = field.dimension
+    sphere, params = profile.sphere, profile.params
     return _MomentContext(sphere.nodes, sphere.weights * profile.values,
-                          -(n + params.s * params.p), params.p, inverse=True)
+                          -(sphere.dimension + params.s * params.p), params.p,
+                          inverse=True)
 
 
 class _DerivativeNormContext:
@@ -284,7 +282,7 @@ class _DerivativeNormContext:
 def _context(field: AnalyticField, params: SmoothnessParams,
              quads: QuadratureBundle, fd_epsilon: float):
     if params.fractional:
-        return _fractional_context(field, params, quads)
+        return _fractional_context(directional_profile(field, params, quads))
     if params.difference_order == 1:
         return _first_order_context(field, params.p, quads)
     return _DerivativeNormContext(field, params, quads, fd_epsilon)
@@ -332,16 +330,22 @@ def random_unimodular(rng: np.random.Generator, dimension: int,
     return q1 @ np.diag(stretches) @ q2
 
 
-def _renormalize(matrix: np.ndarray) -> np.ndarray:
+def _renormalize(matrix: np.ndarray) -> np.ndarray | None:
+    """matrix scaled to determinant one, or None when it is not finite or
+    its determinant is not positive."""
+    if not np.all(np.isfinite(matrix)):
+        return None
     det = np.linalg.det(matrix)
-    if det <= 0 or not np.isfinite(det):
-        raise NumericalFailureError("transform left the unimodular group")
+    if not (np.isfinite(det) and det > 0):
+        return None
     return matrix / det ** (1.0 / matrix.shape[0])
 
 
 def _descend(ctx, start: np.ndarray, opts: OptimizerOptions):
     trace = OptimizerTrace()
     T = _renormalize(start.copy())
+    if T is None:
+        raise NumericalFailureError("start point is not in the unimodular group")
     value = ctx.value(T)
     if not np.isfinite(value):
         raise NumericalFailureError("objective non-finite at the start point")
@@ -355,8 +359,10 @@ def _descend(ctx, start: np.ndarray, opts: OptimizerOptions):
         step = opts.initial_step
         accepted = False
         for _ in range(opts.max_backtracks):
-            candidate = _renormalize(T @ matrix_exp(-step * B))
-            trial = ctx.value(candidate)
+            # a step so long that exp(-step B) overflows is a rejected trial
+            with np.errstate(over="ignore", invalid="ignore"):
+                candidate = _renormalize(T @ matrix_exp(-step * B))
+            trial = np.inf if candidate is None else ctx.value(candidate)
             if np.isfinite(trial) and trial <= value - opts.armijo_c * step * gnorm ** 2:
                 T, value = candidate, trial
                 trace.step_sizes[-1] = step
@@ -386,10 +392,17 @@ def minimize(field, params: SmoothnessParams, opts: OptimizerOptions,
         raise ValueError(f"minimize needs an AnalyticField, got "
                          f"{type(field).__name__}")
     n = field.dimension
-    base_value = objective(field, np.eye(n), params, quads)
+    if params.fractional:
+        # composing with the identity is exact, so the context's profile
+        # gives objective(field, I) bit for bit
+        profile = directional_profile(field, params, quads)
+        base_value = seminorm(field, params, quads, profile=profile)
+        ctx = _fractional_context(profile)
+    else:
+        base_value = objective(field, np.eye(n), params, quads)
+        ctx = _context(field, params, quads, opts.fd_epsilon)
     if not np.isfinite(base_value) or base_value <= 0.0:
         raise ValueError("field has no smoothness energy to minimize")
-    ctx = _context(field, params, quads, opts.fd_epsilon)
 
     starts = [np.eye(n)]
     rng = np.random.default_rng(7)

@@ -281,6 +281,8 @@ def test_module_entry_point_runs_the_cli():
          "c1-first", "--N", "2"],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0
+    # the package does not import affsob.cli, so runpy has nothing to warn of
+    assert done.stderr == ""
     value, argmax = (float(x) for x in done.stdout.split())
     assert value == pytest.approx(0.0669872981, rel=1e-8)
     assert argmax == pytest.approx(3.7320508, rel=1e-6)

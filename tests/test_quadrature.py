@@ -7,11 +7,11 @@ import pytest
 import scipy.integrate
 
 from affsob import (AnalyticField, BoxQuadrature, QuadratureBundle,
-                    RadialQuadrature, RadialSpec, SphereQuadrature,
+                    RadialQuadrature, SphereQuadrature,
                     build_sphere_quadrature, pushforward_weight)
 from affsob.quadrature import (_leggauss, directional_box,
                                gauss_legendre_nodes, integrate_box,
-                               integrate_radial)
+                               radial_from_samples)
 
 
 def test_sphere_areas_are_exact():
@@ -103,10 +103,9 @@ def test_box_gaussian_integral():
     assert total == pytest.approx(math.pi, rel=1e-12)
 
 
-def test_box_cube_and_scaled_resolution():
+def test_box_cube_integrates_its_volume():
     box = BoxQuadrature.cube(2, half_width=3.0, nodes_per_axis=16)
-    finer = box.scaled_resolution(2.0)
-    assert finer.nodes.shape[0] == 4 * box.nodes.shape[0]
+    assert box.nodes.shape == (256, 2)
     ones = integrate_box(np.ones(box.nodes.shape[0]), box)
     assert ones == pytest.approx(36.0, rel=1e-12)
 
@@ -120,21 +119,14 @@ def test_radial_quadrature_matches_scipy():
 
 
 def test_integrate_radial_closed_form():
-    # weight t^{-sp-1} = t^{-2} against g(t) = t^2/(1+t^2): integral pi/2
+    # weight t^{-sp-1} = t^{-2} against g(t) = t^2/(1+t^2): integral pi/2;
+    # the range reaches 4e8, where the tail t_max^{-sp}/(sp) is below 1e-8
     s, p, order = 0.5, 2.0, 1
-    rq = RadialQuadrature.for_params(s, p, order)
-    g = lambda t: t ** 2 / (1.0 + t ** 2)
-    got, tail = integrate_radial(g, s, p, order, rq, sup_bound=1.0)
+    rq = RadialQuadrature(1e-4, 4e8, panels=73)
+    samples = rq.nodes ** 2 / (1.0 + rq.nodes ** 2)
+    got, tail = radial_from_samples(samples, s, p, order, rq, sup_bound=1.0)
     assert got == pytest.approx(math.pi / 2, rel=1e-6)
     assert 0 <= tail < 1e-6
-
-
-def test_radial_tail_budget_grows_range():
-    spec = RadialSpec(t_max=10.0, tail_rel_budget=1e-10)
-    rq = RadialQuadrature.for_params(0.25, 2.0, 1, spec)
-    # sp = 0.5 decays slowly, the rule must push t_max well past the spec
-    assert rq.t_max > 1e3
-    assert rq.panels > spec.panels
 
 
 def test_radial_validation():

@@ -10,12 +10,14 @@ from affsob import (AnalyticField, GridField, NumericalFailureError,
                     OptimizerOptions, OptimizerTrace, QuadratureBundle,
                     SmoothnessParams, UnimodularTransform,
                     critical_residuals, descent_step,
-                    directional_lower_bound_check, exact_gradient_s1,
+                    directional_lower_bound_check, directional_profile,
+                    exact_gradient_s1,
                     matrix_exp, minimize, numeric_gradient, objective,
                     polar_align, random_unimodular, seminorm, sl_basis)
 from affsob.constants import c1_first_approach
+from affsob import seminorms, sl_opt
 from affsob.family import strong_shear_members
-from affsob.sl_opt import _context
+from affsob.sl_opt import _context, _descend
 
 P12 = SmoothnessParams(1.0, 2.0)
 
@@ -131,6 +133,57 @@ def test_minimize_descends_at_third_order(aniso, lean2):
     t, value, trace = minimize(aniso, SmoothnessParams(3.0, 2.0),
                                OptimizerOptions(max_iters=5), lean2)
     assert value < 0.75 * trace.objectives[0]
+    assert np.linalg.det(t.matrix) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_fractional_minimize_reuses_the_context_profile(aniso, lean2,
+                                                       monkeypatch):
+    params = SmoothnessParams(0.5, 3.0)
+    # composing with the identity is exact, so the context's profile gives
+    # the composition objective at T = I bit for bit
+    profile = directional_profile(aniso, params, lean2)
+    assert seminorm(aniso, params, lean2, profile=profile) == \
+        objective(aniso, np.eye(2), params, lean2)
+    calls = []
+    original = seminorms.directional_profile
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(seminorms, "directional_profile", counting)
+    monkeypatch.setattr(sl_opt, "directional_profile", counting)
+    minimize(aniso, params, OptimizerOptions(max_iters=2), lean2)
+    # the context's profile and the certified final objective
+    assert len(calls) == 2
+
+
+class _OverflowingContext:
+    """Objective 1 at the identity and 1/2 anywhere else, with a gradient so
+    large that exp(-B), the first Armijo trial, overflows."""
+
+    def value(self, matrix):
+        return 1.0 if np.array_equal(matrix, np.eye(2)) else 0.5
+
+    def gradient(self, matrix):
+        return np.diag([800.0, -800.0])
+
+
+def test_overflowing_armijo_trial_is_rejected():
+    opts = OptimizerOptions(max_iters=1, armijo_c=1e-12)
+    t, value, trace = _descend(_OverflowingContext(), np.eye(2), opts)
+    assert trace.step_sizes == [0.5]
+    assert value == 0.5
+    assert np.linalg.det(t) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_strong_shear_descends_past_an_overflowing_trial(family, bundle2):
+    # the first trials at s = 2 overflow exp(-step B) for shear4
+    t, value, trace = minimize(family["shear4"], SmoothnessParams(2.0, 1.5),
+                               OptimizerOptions(max_iters=30), bundle2)
+    objectives = trace.objectives
+    assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+    assert value < objectives[0]
     assert np.linalg.det(t.matrix) == pytest.approx(1.0, rel=1e-10)
 
 
