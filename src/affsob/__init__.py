@@ -19,7 +19,7 @@ from .fields import (AnalyticField, DimensionMismatchError, GridField,
 from .quadrature import (BoxQuadrature, QuadratureBundle, RadialQuadrature,
                          RadialSpec, SphereQuadrature,
                          build_sphere_quadrature, pushforward_weight)
-from .reporting import CheckResult, VerificationReport, merge_reports, write_plot_csv
+from .reporting import CheckResult, VerificationReport, write_plot_csv
 from .seminorms import (DirectionalEnergyProfile, directional_energy,
                         directional_profile, higher_difference_energy,
                         lp_norm, seminorm, slice_seminorm_crosscheck,

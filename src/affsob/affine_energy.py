@@ -69,7 +69,9 @@ class EnergyResult:
     degenerate is set exactly when some profile node carried zero energy (or
     the aggregation overflowed, which is the same thing at float precision);
     under the power-type psi that sends the value to 0.  tail_budget is the
-    sphere-integrated radial truncation width of the underlying profile.
+    sphere integral of the profile's tail interval: the radial truncation
+    width on the swept path, and at p = 2, where the energies are closed
+    forms with no radial rule, a bound on their rounding error.
     resolution_drift is stamped only when a doubled-resolution monitor ran.
     """
 

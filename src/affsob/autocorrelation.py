@@ -1,46 +1,49 @@
-"""Exact p = 2 difference energies of Gaussian-polynomial fields.
+"""Exact p = 2 directional energies of Gaussian-polynomial fields.
 
 At p = 2 the difference energy along xi is a finite combination of the
-field's autocorrelation R(u) = int f(x + u xi) f(x) dx:
+field's autocorrelation R(u) = int f(x + u xi) f(x) dx, which is even:
 
-    ||Delta^m_{t xi} f||_2^2 = sum_{k=-m}^{m} (-1)^k C(2m, m+k) R(k t).
+    ||Delta^m_{t xi} f||_2^2 = sum_{k=0}^{m} w_k R(k t),
+    w_0 = C(2m, m),  w_k = 2 (-1)^k C(2m, m+k).
 
-R is a sum over ordered term pairs of integrals of Gaussian-polynomial
-products.  A product has the combined precision A_i + A_j, so a tensor
-Gauss-Hermite rule with more than half the product's degree nodes per axis
-integrates it exactly.
+The w_k annihilate t^{2j} for j < m, so for every non-integer s < m the
+radial integral D(f, xi) = int_0^inf t^{-1-2s} g(t) dt is a Hadamard
+finite part:
 
-For small t the sum cancels down to ~t^{2m} R(0) and rounding swamps it.
-Below a crossover t_c the Taylor series of the same quantity is used:
+    D(f, xi) = 1/2 K(s, m) FP int_R |u|^{-1-2s} R(u) du,
+    K(s, m) = sum_{k=1}^{m} w_k k^{2s}.
 
-    sum_{j >= m} (-1)^j M_j ||d^j_xi f||_2^2 t^{2j} / (2j)!,
-    M_j = sum_k (-1)^k C(2m, m+k) k^{2j},
+Each ordered term pair (i, j) of R is A exp(-h (u - u0)^2 / 2) P(u) with
+h > 0 and P a polynomial of degree at most deg_i + deg_j (see _PairRule);
+(j, i) is the mirror image u -> -u and has the same finite part.  With
+y = sqrt(h) u a pair's finite part is h^s sum_j c_j F_j(y0), where c_j are
+the coefficients of P in y and
 
-whose coefficients come from Gram matrices of the exact order-j partials,
-contracted with the direction's weights.  t_c is the smallest step at which
-the rounding bound of the closed form is below _TARGET_REL of the value; the
-head takes as many terms as it needs for its first omitted term to be below
-the same level at t_c.  A direction that needs more than _MAX_HEAD_TERMS
-terms has no exact path.
+    F_j(y0) = FP int |y|^{-1-2s} y^j exp(-(y - y0)^2 / 2) dy
+
+is a Kummer function (DLMF 13.2).  Nothing is truncated: the interval
+returned with each energy bounds its rounding error, not a radial tail.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AnalyticField, directional_weight_matrix, multi_indices
+from .fields import AnalyticField
 
-__all__ = ["ExactDifferenceEnergy", "exact_difference_energy"]
+__all__ = ["exact_directional_energies", "finite_part_moments"]
 
-# relative level below which both the closed form's rounding and the Taylor
-# head's truncation are held at the crossover
-_TARGET_REL = 1e-9
-_MAX_HEAD_TERMS = 6
 _EPS = float(np.finfo(float).eps)
+# the Laplace expansion about y0 replaces the series where what it leaves
+# out, about exp(-x) (2x)^{2s} relative with x = y0^2 / 2, is below
+# exp(-_LAPLACE_LEVEL); the series takes about x steps
+_LAPLACE_LEVEL = 40.0
+# rounding steps charged to each absolute contribution in the error bound:
+# the Gauss-Hermite sums, the interpolation of P, the series and K
+_ROUNDING_STEPS = 64.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -60,10 +63,20 @@ def _hermite_rule(dimension: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=None)
+def _interpolation(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y_k and the inverse Vandermonde matrix that turns the values
+    of a polynomial of this degree at them into monomial coefficients."""
+    y = np.polynomial.hermite_e.hermegauss(degree + 1)[0]
+    inverse = np.linalg.inv(np.vander(y, increasing=True))
+    y.flags.writeable = False
+    inverse.flags.writeable = False
+    return y, inverse
+
+
 class _PairRule:
     """int f_i(x + u xi) f_j(x) dx for two terms
-    f = c q(x) exp(-(x - mu)^T A (x - mu) / 2), as a standard-normal
-    expectation.
+    f = c q(x) exp(-(x - mu)^T A (x - mu) / 2).
 
     With P = A_i + A_j and H = A_i P^{-1} A_j the product of the Gaussian
     factors is exp(-d^T H d / 2) exp(-(x - m)^T P (x - m) / 2) with
@@ -71,7 +84,9 @@ class _PairRule:
     so the integral is
     envelope(u) * E[q_i(m + u xi + L^{-T} z) q_j(m + L^{-T} z)], z ~ N(0, I),
     with P = L L^T and envelope(u) = c_i c_j (2 pi)^{N/2} det(P)^{-1/2}
-    exp(-d^T H d / 2).
+    exp(-d^T H d / 2).  In u the exponent is
+    -(h (u - u0)^2 + delta^T H delta - h u0^2) / 2 with h = xi^T H xi and
+    u0 = xi^T H delta / h, and the expectation is a polynomial P(u).
     """
 
     def __init__(self, a: AnalyticField, i: int, j: int):
@@ -79,7 +94,8 @@ class _PairRule:
         combined = ti.precision + tj.precision
         chol = np.linalg.cholesky(combined)
         self.n = a.dimension
-        self.i, self.j = i, j
+        self.polys = (ti.polynomial, tj.polynomial)
+        self.degree = ti.polynomial.degree + tj.polynomial.degree
         self.hmat = ti.precision @ np.linalg.solve(combined, tj.precision)
         self.hmat = 0.5 * (self.hmat + self.hmat.T)
         self.delta = ti.mean - tj.mean
@@ -92,185 +108,126 @@ class _PairRule:
                       * (2.0 * math.pi) ** (self.n / 2.0)
                       / float(np.prod(np.diag(chol))))
 
-    def points(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rule nodes as offsets from the centre, and their weights."""
-        z, w = _hermite_rule(self.n, count)
-        return z @ self.root_inv, w
-
-    def envelope(self, xi: np.ndarray, u: np.ndarray) -> np.ndarray:
-        d = self.delta[None, :] - u[:, None] * xi[None, :]
-        return self.scale * np.exp(-0.5 * np.einsum("ui,ij,uj->u", d, self.hmat, d))
-
-
-def _count_for(degree: int) -> int:
-    """Gauss-Hermite nodes per axis that integrate this degree exactly."""
-    return degree // 2 + 1
+    def polynomial_values(self, xi: np.ndarray, u: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """P(u) for directions xi (D, N) at displacements u (D, U), with
+        the absolute sums of the rule that bound its rounding."""
+        z, w = _hermite_rule(self.n, self.degree // 2 + 1)
+        offsets = z @ self.root_inv
+        base = self.centre - u[:, :, None] * (xi @ self.drift.T)[:, None, :]
+        pts = base[:, :, None, :] + offsets
+        shifted = pts + u[:, :, None, None] * xi[:, None, None, :]
+        q_i, q_j = self.polys
+        vals = (q_i.evaluate(shifted.reshape(-1, self.n))
+                * q_j.evaluate(pts.reshape(-1, self.n))).reshape(pts.shape[:3])
+        return vals @ w, np.abs(vals) @ w
 
 
 def _difference_weights(order: int) -> np.ndarray:
-    """w_k for k = 0..order with g(t) = sum_k w_k R(k t): the symmetric
-    weights (-1)^k C(2m, m+k) of +k and -k folded together."""
+    """w_k for k = 0..order with g(t) = sum_k w_k R(k t)."""
     w = np.array([2.0 * (-1.0) ** k * math.comb(2 * order, order + k)
                   for k in range(order + 1)])
     w[0] = math.comb(2 * order, order)
     return w
 
 
-@dataclass(frozen=True)
-class _Head:
-    """Taylor head of one direction: g(t) = sum_j coeffs[j] t^{2(order+j)}
-    for t < crossover."""
+def finite_part_moments(s: float, degree: int, y0: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """F_j(y0) = FP int |y|^{-1-2s} y^j exp(-(y - y0)^2 / 2) dy for
+    j = 0..degree at every point of the 1-D array y0, shape
+    (degree + 1, len(y0)), with the absolute sums of the terms that make
+    them up.
 
-    crossover: float
-    coeffs: np.ndarray
+    Up to a separation set by _LAPLACE_LEVEL the exact series
 
+        F_j = exp(-y0^2 / 2) sum_{n = j mod 2} y0^n / n!
+              * 2^{(j+n-2s)/2} Gamma((j+n-2s)/2),
 
-class ExactDifferenceEnergy:
-    """||Delta^order_{t xi} f||_2^2 of an AnalyticField, exactly.
+    with steps of two in n, is summed; its terms are positive from the
+    first few on.  Beyond, the Laplace expansion of |y|^{j-1-2s} about y0,
 
-    Built once per field and difference order; the pair rules and the Gram
-    matrices of the partial derivatives serve every direction.
+        F_j ~ sqrt(2 pi) sgn(y0)^j |y0|^a sum_{k even} C(a, k) (k-1)!! y0^{-k},
+
+    with a = j - 1 - 2s, is summed until its terms stop mattering.
     """
+    y0 = np.asarray(y0, dtype=float)
+    j = np.arange(degree + 1, dtype=float)[:, None]
+    value = np.empty(j.shape[:1] + y0.shape)
+    size = np.empty_like(value)
+    x = 0.5 * y0 ** 2
+    near = x - 2.0 * s * np.log(np.maximum(2.0 * x, 1.0)) < _LAPLACE_LEVEL
 
-    def __init__(self, field: AnalyticField, order: int):
-        self.field = field
-        self.order = int(order)
-        self.dimension = field.dimension
-        n_terms = len(field.terms)
-        self.pairs = [_PairRule(field, i, j)
-                      for i in range(n_terms) for j in range(n_terms)]
-        self.weights = _difference_weights(self.order)
-        unit, zero = np.eye(self.dimension)[0], np.zeros(1)
-        self.norm_sq = float(self.autocorrelation(unit, zero)[0])
-        # the absolute pair contributions to R(0) set the size of the
-        # rounding error of R(u) for the small u where the sum cancels
-        self.rounding_scale = sum(
-            abs(pair.envelope(unit, zero)[0]) * float(np.abs(vals[0]) @ w)
-            for pair, (vals, w) in zip(self.pairs, self._pair_products(unit, zero)))
-        self._partials: list[dict[tuple[int, ...], AnalyticField]] = [
-            {(0,) * self.dimension: field}]
-        self._grams: dict[int, tuple[list, np.ndarray]] = {}
+    y = y0[near]
+    n = j % 2
+    a = 0.5 * (j + n) - s
+    gamma = np.vectorize(math.gamma)(a)
+    term = np.where(n == 1, y, 1.0) * 2.0 ** a * gamma
+    total, absolute = term.copy(), np.abs(term)
+    y2 = y ** 2
+    while np.any(np.abs(term) > _EPS * absolute):
+        term = term * y2 * (j + n - 2.0 * s) / ((n + 1.0) * (n + 2.0))
+        n = n + 2.0
+        total += term
+        absolute += np.abs(term)
+    damping = np.exp(-0.5 * y2)
+    value[:, near] = damping * total
+    size[:, near] = damping * absolute
 
-    # -- closed form ---------------------------------------------------------
-
-    def _pair_products(self, xi: np.ndarray, u: np.ndarray):
-        """Per pair: ((U, K) values of q_i(x + u xi) q_j(x) at the rule
-        nodes, K weights); constant polynomials take a one-node rule."""
-        out = []
-        for pair in self.pairs:
-            ti, tj = self.field.terms[pair.i], self.field.terms[pair.j]
-            offsets, w = pair.points(_count_for(
-                ti.polynomial.degree + tj.polynomial.degree))
-            base = pair.centre[None, :] - u[:, None] * (pair.drift @ xi)[None, :]
-            pts = (base[:, None, :] + offsets[None, :, :]).reshape(-1, self.dimension)
-            shifted = pts + np.repeat(u, offsets.shape[0])[:, None] * xi[None, :]
-            vals = ti.polynomial.evaluate(shifted) * tj.polynomial.evaluate(pts)
-            out.append((vals.reshape(u.shape[0], offsets.shape[0]), w))
-        return out
-
-    def autocorrelation(self, xi: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """R(u) = int f(x + u xi) f(x) dx at every displacement in u."""
-        xi = np.asarray(xi, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape[0])
-        for pair, (vals, w) in zip(self.pairs, self._pair_products(xi, u)):
-            out += pair.envelope(xi, u) * (vals @ w)
-        return out
-
-    # -- Taylor head ---------------------------------------------------------
-
-    def _partials_of_order(self, order: int) -> dict[tuple[int, ...], AnalyticField]:
-        while len(self._partials) <= order:
-            prev = self._partials[-1]
-            nxt = {}
-            for alpha in multi_indices(self.dimension, len(self._partials)):
-                axis = next(k for k, a in enumerate(alpha) if a)
-                parent = tuple(a - (k == axis) for k, a in enumerate(alpha))
-                nxt[alpha] = prev[parent].partial_derivative(axis)
-            self._partials.append(nxt)
-        return self._partials[order]
-
-    def _gram(self, order: int) -> tuple[list, np.ndarray]:
-        """Alphas of one order and G[a, b] = int d^a f d^b f dx."""
-        if order not in self._grams:
-            partials = self._partials_of_order(order)
-            alphas = list(partials)
-            gram = np.zeros((len(alphas), len(alphas)))
-            for pair in self.pairs:
-                ti, tj = self.field.terms[pair.i], self.field.terms[pair.j]
-                degree = ti.polynomial.degree + tj.polynomial.degree + 2 * order
-                offsets, w = pair.points(_count_for(degree))
-                pts = pair.centre[None, :] + offsets
-                mass = pair.envelope(np.zeros(self.dimension), np.zeros(1))[0]
-                rows_i = np.stack([partials[a].terms[pair.i].polynomial.evaluate(pts)
-                                   for a in alphas])
-                rows_j = np.stack([partials[a].terms[pair.j].polynomial.evaluate(pts)
-                                   for a in alphas])
-                gram += mass * (rows_i * w) @ rows_j.T
-            self._grams[order] = (alphas, 0.5 * (gram + gram.T))
-        return self._grams[order]
-
-    def derivative_norm_sq(self, xi: np.ndarray, order: int) -> float:
-        """||d^order_xi f||_2^2 from the Gram matrix of the order's partials."""
-        alphas, gram = self._gram(order)
-        w = directional_weight_matrix(np.asarray(xi, dtype=float)[None, :], alphas)[0]
-        return float(w @ gram @ w)
-
-    def _taylor_coefficient(self, xi: np.ndarray, j: int) -> float:
-        k = np.arange(1, self.order + 1, dtype=float)
-        moment = float(self.weights[1:] @ k ** (2 * j))
-        return ((-1.0) ** j * moment * self.derivative_norm_sq(xi, j)
-                / math.factorial(2 * j))
-
-    def head(self, xi: np.ndarray) -> _Head | None:
-        """Crossover and Taylor coefficients for one direction, or None when
-        no head of at most _MAX_HEAD_TERMS terms meets _TARGET_REL."""
-        xi = np.asarray(xi, dtype=float)
-        m = self.order
-        if self.rounding_scale == 0.0:
-            return _Head(0.0, np.zeros(1))
-        leading = self._taylor_coefficient(xi, m)
-        if not leading > 0.0:
-            return None
-        rounding = _EPS * float(np.abs(self.weights).sum()) * self.rounding_scale
-        crossover = (rounding / (_TARGET_REL * leading)) ** (1.0 / (2 * m))
-        coeffs = [leading]
-        for j in range(m + 1, m + _MAX_HEAD_TERMS + 1):
-            nxt = self._taylor_coefficient(xi, j)
-            kept = np.polynomial.polynomial.polyval(crossover ** 2, coeffs)
-            if abs(nxt) * crossover ** (2 * (j - m)) <= _TARGET_REL * abs(kept):
-                return _Head(crossover, np.array(coeffs))
-            coeffs.append(nxt)
-        return None
-
-    # -- samples -------------------------------------------------------------
-
-    def samples(self, xi: np.ndarray, ts: np.ndarray, head: _Head) -> np.ndarray:
-        """||Delta^order_{t xi} f||_2^2 for every step size t in ts, with
-        the direction's head from head(xi)."""
-        xi = np.asarray(xi, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty(ts.shape[0])
-        low = ts < head.crossover
-        t2 = ts[low] ** 2
-        out[low] = t2 ** self.order * np.polynomial.polynomial.polyval(t2, head.coeffs)
-        high = ts[~low]
-        if high.size:
-            k = np.arange(1, self.order + 1, dtype=float)
-            r = self.autocorrelation(xi, np.outer(k, high).ravel())
-            out[~low] = (self.weights[0] * self.norm_sq
-                         + self.weights[1:] @ r.reshape(self.order, high.size))
-        return out
+    y = y0[~near]
+    a = j - 1.0 - 2.0 * s
+    k = 0.0
+    term = np.ones(j.shape[:1] + y.shape)
+    total, absolute = term.copy(), term.copy()
+    y2 = y ** 2
+    while np.any(np.abs(term) > _EPS * absolute):
+        term = term * (a - k) * (a - k - 1.0) / ((k + 2.0) * y2)
+        k += 2.0
+        total += term
+        absolute += np.abs(term)
+    lead = math.sqrt(2.0 * math.pi) * np.sign(y) ** j * np.abs(y) ** a
+    value[:, ~near] = lead * total
+    size[:, ~near] = np.abs(lead) * absolute
+    return value, size
 
 
-def exact_difference_energy(field, order: int) -> ExactDifferenceEnergy | None:
-    """The exact p = 2 evaluator for this field and order, or None when the
-    field is not an AnalyticField with positive definite precisions or its
-    pair integrals overflow."""
+def exact_directional_energies(field, directions: np.ndarray, s: float,
+                               order: int
+                               ) -> tuple[np.ndarray, np.ndarray] | None:
+    """D(f, xi) at p = 2 along each row of directions, and a bound on the
+    rounding error of each value; None when the field is not an
+    AnalyticField with positive definite precisions or its pair integrals
+    overflow."""
     if not isinstance(field, AnalyticField) or field.flat_ok:
         return None
+    n_terms = len(field.terms)
     try:
-        model = ExactDifferenceEnergy(field, order)
+        pairs = [(_PairRule(field, i, j), 1.0 if i == j else 2.0)
+                 for i in range(n_terms) for j in range(i, n_terms)]
     except np.linalg.LinAlgError:
         return None
-    return model if math.isfinite(model.rounding_scale) else None
+    if not all(math.isfinite(pair.scale) for pair, _ in pairs):
+        return None
+
+    xi = np.asarray(directions, dtype=float)
+    k = np.arange(1, order + 1, dtype=float)
+    weights = _difference_weights(order)[1:] * k ** (2.0 * s)
+    finite_part = np.zeros(xi.shape[0])
+    absolute = np.zeros(xi.shape[0])
+    for pair, multiplicity in pairs:
+        h = np.einsum("di,ij,dj->d", xi, pair.hmat, xi)
+        h_delta = xi @ (pair.hmat @ pair.delta)
+        gap = float(pair.delta @ pair.hmat @ pair.delta) - h_delta ** 2 / h
+        front = multiplicity * pair.scale * np.exp(-0.5 * gap) * h ** s
+        nodes, inverse = _interpolation(pair.degree)
+        root = np.sqrt(h)
+        vals, sizes = pair.polynomial_values(xi, nodes / root[:, None])
+        moments, moment_sizes = finite_part_moments(s, pair.degree,
+                                                    h_delta / root)
+        coeffs = vals @ inverse.T
+        finite_part += front * np.einsum("dj,jd->d", coeffs, moments)
+        absolute += np.abs(front) * np.einsum(
+            "dj,jd->d", sizes @ np.abs(inverse).T, moment_sizes)
+    values = 0.5 * float(weights.sum()) * finite_part
+    bounds = (0.5 * _ROUNDING_STEPS * _EPS * float(np.abs(weights).sum())
+              * absolute)
+    return values, bounds

@@ -19,7 +19,6 @@ __all__ = [
     "integrate_box",
     "build_sphere_quadrature",
     "directional_box",
-    "separation_scale",
     "gauss_legendre_nodes",
     "radial_from_samples",
     "pushforward_weight",
@@ -137,13 +136,6 @@ def _support_widths(field: AnalyticField, frame: np.ndarray,
     pad = 1.0 + 0.06 * field.max_poly_degree()
     spread = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", frame.T, env, frame.T), 1e-8, None))
     return np.minimum(L0 * pad * spread, 4.0 * L0)
-
-
-def separation_scale(field: AnalyticField, xi: np.ndarray,
-                     base_half_width: float | None = None) -> float:
-    """The t_sep of directional_box, without building the box."""
-    frame = _frame_through(np.asarray(xi, dtype=float))
-    return _SEPARATION_FACTOR * float(_support_widths(field, frame, base_half_width)[0])
 
 
 def directional_box(field: AnalyticField, xi: np.ndarray, order: int,

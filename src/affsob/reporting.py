@@ -7,8 +7,7 @@ empty unless timing is explicitly requested, for the same reason.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 CSV_HEADER = "suite,check_id,theorem,lhs,rhs,ratio,tolerance,pass,seconds"
@@ -57,30 +56,10 @@ class VerificationReport:
     def write_csv(self, path: str | Path, include_seconds: bool = False) -> None:
         Path(path).write_text(self.csv_text(include_seconds), encoding="utf-8")
 
-    def to_json(self) -> str:
-        return json.dumps({"suite": self.suite,
-                           "checks": [asdict(c) for c in self.checks]},
-                          indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        raw = json.loads(text)
-        report = cls(raw["suite"])
-        for entry in raw["checks"]:
-            report.checks.append(CheckResult(**entry))
-        return report
-
     def summary(self) -> str:
         n_pass = sum(1 for c in self.checks if c.passed)
         verdict = "PASS" if self.passed else "FAIL"
         return f"{self.suite}: {n_pass}/{len(self.checks)} checks passed [{verdict}]"
-
-
-def merge_reports(name: str, reports: list) -> VerificationReport:
-    merged = VerificationReport(name)
-    for report in reports:
-        merged.checks.extend(report.checks)
-    return merged
 
 
 def write_plot_csv(path: str | Path, rows: list[tuple[str, float, float]]) -> None:
@@ -91,4 +70,4 @@ def write_plot_csv(path: str | Path, rows: list[tuple[str, float, float]]) -> No
 
 
 __all__ = ["CSV_HEADER", "PLOT_HEADER", "CheckResult", "VerificationReport",
-           "merge_reports", "write_plot_csv"]
+           "write_plot_csv"]

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autocorrelation import exact_difference_energy
+from .autocorrelation import exact_directional_energies
 from .fields import (
+    _SWEEP_BLOCK,
     AnalyticField,
     GridField,
     NumericalFailureError,
@@ -27,6 +28,7 @@ from .fields import (
     partial_derivative_fields,
 )
 from .quadrature import (
+    _SEPARATION_FACTOR,
     BoxQuadrature,
     QuadratureBundle,
     SphereQuadrature,
@@ -34,7 +36,6 @@ from .quadrature import (
     gauss_legendre_nodes,
     integrate_box,
     radial_from_samples,
-    separation_scale,
 )
 
 # a direction is treated as energetically dead below this fraction of the peak
@@ -50,10 +51,12 @@ _EXCLUDED_MESSAGE = (
 class DirectionalEnergyProfile:
     """Per-direction energies D(f, xi_j) on a sphere quadrature.
 
-    values[j] is the p-th power energy along sphere.nodes[j].  tail_interval[j]
-    bounds what the truncated radial integral may have dropped (certified head
-    plus tail estimate); the derivative branch has no radial truncation, so
-    there it is identically zero.
+    values[j] is the p-th power energy along sphere.nodes[j].  On the swept
+    difference branch tail_interval[j] bounds what the truncated radial
+    integral may have dropped (head plus tail estimate).  At p = 2 the
+    energies of an AnalyticField are closed forms with no radial rule, and
+    tail_interval[j] bounds their rounding error instead.  The derivative
+    branch has neither, so there it is identically zero.
     """
 
     params: SmoothnessParams
@@ -146,7 +149,7 @@ def _integer_profile_values(field, order: int, p: float,
     W = directional_weight_matrix(sphere.nodes, alphas)
     n_pts = mat.shape[1]
     values = np.empty(W.shape[0])
-    block = max(1, (1 << 24) // max(n_pts, 1))
+    block = max(1, _SWEEP_BLOCK // max(n_pts, 1))
     for lo in range(0, W.shape[0], block):
         directional = W[lo:lo + block] @ mat
         values[lo:lo + block] = np.abs(directional) ** p @ weights
@@ -211,38 +214,30 @@ def directional_profile(field, params: SmoothnessParams,
 def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
                      p: float, order: int, quads: QuadratureBundle,
                      box: BoxQuadrature | None) -> tuple[np.ndarray, np.ndarray]:
-    """Radial energy along each direction: samples of the difference energy
-    up to the lobe-separation scale t_sep, then the exact separated-lobes
-    far field.
+    """Radial energy along each direction, and its tail interval.
 
-    At p = 2 the samples are exact (autocorrelation closed form with a
-    Taylor head, see autocorrelation.py) when every direction has a head;
-    otherwise an elongated box is swept per direction.  `box` only serves
+    At p = 2 the energies of an AnalyticField are exact (finite-part closed
+    form, see autocorrelation.py) and the interval bounds their rounding.
+    Otherwise an elongated box is swept per direction for the difference
+    energies up to the lobe-separation scale t_sep, and the exact
+    separated-lobes far field closes the radial integral; `box` only serves
     the sweep's ||f||_p^p.
     """
-    exact = exact_difference_energy(field, order) if p == 2.0 else None
-    heads = [exact.head(xi) for xi in directions] if exact is not None else []
-    if exact is not None and all(h is not None for h in heads):
-        far_constant = _separated_lobes_constant(order, p) * exact.norm_sq
-    else:
-        exact = None
-        if box is None:
-            box = quads.box_for(field)
-        fpp = integrate_box(lambda pts: np.abs(field.evaluate(pts)) ** p, box)
-        far_constant = _separated_lobes_constant(order, p) * fpp
-
+    if p == 2.0:
+        exact = exact_directional_energies(field, directions, s, order)
+        if exact is not None:
+            return exact
+    if box is None:
+        box = quads.box_for(field)
+    fpp = integrate_box(lambda pts: np.abs(field.evaluate(pts)) ** p, box)
+    far_constant = _separated_lobes_constant(order, p) * fpp
     values = np.empty(directions.shape[0])
     tails = np.empty(directions.shape[0])
     for j, xi in enumerate(directions):
-        if exact is not None:
-            rq = quads.radial_range(
-                separation_scale(field, xi, quads.box_half_width))
-            samples = exact.samples(xi, rq.nodes, heads[j])
-        else:
-            dbox, t_sep = quads.directional_box_for(field, xi, order)
-            rq = quads.radial_range(t_sep)
-            samples = field.difference_lp_samples(
-                xi, rq.nodes, order, p, dbox.nodes, dbox.weights)
+        dbox, t_sep = quads.directional_box_for(field, xi, order)
+        rq = quads.radial_range(t_sep)
+        samples = field.difference_lp_samples(
+            xi, rq.nodes, order, p, dbox.nodes, dbox.weights)
         values[j], tails[j] = radial_from_samples(
             samples, s, p, order, rq, far_constant=far_constant)
     return values, tails
@@ -369,7 +364,7 @@ def _one_d_seminorm_power(field: AnalyticField, params: SmoothnessParams,
     """
     if params.fractional:
         order = params.difference_order
-        t_sep = 1.6 * half_width
+        t_sep = _SEPARATION_FACTOR * half_width
         long_hw = half_width + 0.5 * order * t_sep
         long_n = int(math.ceil(nodes * long_hw / half_width))
         pts, wts = gauss_legendre_nodes(long_hw, long_n)

@@ -1,19 +1,22 @@
-"""The exact p = 2 difference energies against the box sweep and the
-Fourier form of the directional energy."""
+"""The exact p = 2 directional energies against the box sweep, Kummer
+functions and the Fourier form of the directional energy."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affsob import (AnalyticField, QuadratureBundle, RadialSpec,
-                    SmoothnessParams, directional_profile)
-from affsob.autocorrelation import ExactDifferenceEnergy
+from affsob import (AnalyticField, QuadratureBundle, RadialQuadrature,
+                    RadialSpec, SmoothnessParams, autocorrelation,
+                    directional_energy, directional_profile, quadrature,
+                    seminorms)
+from affsob.autocorrelation import (exact_directional_energies,
+                                    finite_part_moments)
 from affsob.fields import GaussianTerm, Polynomial
-from affsob.quadrature import _DEFAULT_HALF_WIDTH, directional_box
+from affsob.quadrature import directional_box, radial_from_samples
 from test_sweep import _random_field
 
 # the fractional tiers of the inequality suite: box 36, sphere 32,
@@ -78,76 +81,135 @@ MIXTURES = {
 }
 
 
-def refined_sweep(field, xi, ts, order, node_scale):
-    """Box sweep with 4x the nodes per unit length of a bundle at node_scale
-    and 1.3x its widths."""
-    box, _ = directional_box(field, xi, order,
-                             base_half_width=1.3 * _DEFAULT_HALF_WIDTH,
-                             node_scale=4.0 * node_scale)
-    return field.difference_lp_samples(xi, ts, order, 2.0, box.nodes,
-                                       box.weights)
-
-
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       dimension=st.sampled_from([2, 3]),
        n_terms=st.integers(1, 3),
        degree=st.integers(0, 3),
-       order=st.sampled_from([1, 2]))
-def test_exact_samples_match_a_refined_sweep(seed, dimension, n_terms, degree,
-                                             order):
+       order=st.sampled_from([1, 2, 4]),
+       s=st.sampled_from([0.5, 0.75, 1.25, 1.5]))
+def test_exact_energy_matches_a_refined_sweep(seed, n_terms, degree, order, s):
+    assume(order > s)
     rng = np.random.default_rng(seed)
-    if dimension == 3:
-        n_terms = min(n_terms, 2)
-    field = _random_field(rng, dimension, n_terms, degree)
-    xi = rng.standard_normal(dimension)
+    field = _random_field(rng, 2, n_terms, degree)
+    xi = rng.standard_normal(2)
     xi /= np.linalg.norm(xi)
-    exact = ExactDifferenceEnergy(field, order)
-    head = exact.head(xi)
-    assert head is not None
-    # below and above the crossover, and a step of the size of the field
-    ts = np.array([0.3 * head.crossover, 3.0 * head.crossover, 1.0])
-    # the base tiers of the sweep: box 36 of 96 nodes in 2-D, 12 of 48 in 3-D
-    node_scale = 0.375 if dimension == 2 else 0.25
-    want = refined_sweep(field, xi, ts, order, node_scale)
-    np.testing.assert_allclose(exact.samples(xi, ts, head), want, rtol=1e-8)
+    got = exact_directional_energies(field, xi[None, :], s, order)[0][0]
+    # the sweep at twice the base tier (box 36 of 96 nodes) with a
+    # 24-panel radial rule leaves about 1e-11 here
+    box, t_sep = directional_box(field, xi, order, node_scale=0.75)
+    rq = RadialQuadrature.for_range(RadialSpec(panels=24), t_sep)
+    samples = field.difference_lp_samples(xi, rq.nodes, order, 2.0, box.nodes,
+                                          box.weights)
+    full, _ = directional_box(field, xi, 0, node_scale=0.75)
+    far = math.comb(2 * order, order) * float(
+        field.evaluate(full.nodes) ** 2 @ full.weights)
+    want = radial_from_samples(samples, s, 2.0, order, rq, far_constant=far)[0]
+    assert got == pytest.approx(want, rel=1e-8)
 
 
-@pytest.mark.parametrize("name", ["radial", "twobump", "hermite", "shear1"])
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_taylor_head_meets_the_closed_form_at_the_crossover(name, order,
-                                                             family):
-    exact = ExactDifferenceEnergy(family[name], order)
-    xi = np.array([math.cos(0.4), math.sin(0.4)])
-    head = exact.head(xi)
-    t_c = head.crossover
-    below, above = exact.samples(xi, np.array([t_c * (1 - 1e-12),
-                                               t_c * (1 + 1e-12)]), head)
-    assert below == pytest.approx(above, rel=2e-9)
-    # and both sides of the crossover match the leading term t^2m |d^m f|^2
-    leading = t_c ** (2 * order) * exact.derivative_norm_sq(xi, order)
-    assert above == pytest.approx(leading, rel=0.1)
+def autocorrelation_sum(field, xi, ts, order):
+    """||Delta^order_{t xi} f||_2^2 = sum_k w_k R(k t), with R summed over
+    the ordered pair rules of the closed form."""
+    weights = autocorrelation._difference_weights(order)
+    total = np.zeros_like(ts)
+    for i in range(len(field.terms)):
+        for j in range(len(field.terms)):
+            pair = autocorrelation._PairRule(field, i, j)
+            for k, w in enumerate(weights):
+                u = k * ts
+                d = pair.delta - u[:, None] * xi
+                envelope = pair.scale * np.exp(
+                    -0.5 * np.einsum("ui,ij,uj->u", d, pair.hmat, d))
+                values = pair.polynomial_values(xi[None, :], u[None, :])[0][0]
+                total += w * envelope * values
+    return total
 
 
-def test_an_order_without_a_head_stays_on_the_sweep(radial, monkeypatch):
-    # order 4 needs more head terms than allowed at any crossover
-    assert ExactDifferenceEnergy(radial, 4).head(np.array([1.0, 0.0])) is None
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n_terms=st.integers(1, 2),
+       degree=st.integers(0, 3),
+       order=st.sampled_from([1, 2, 4]))
+def test_pair_rules_match_a_refined_sweep_in_3d(seed, n_terms, degree, order):
+    # a 3-D radial energy needs the sweep at 4x the base tier (box 12 of
+    # 48 nodes), seconds per direction, so the pair rules are checked at
+    # steps where the difference does not cancel
+    rng = np.random.default_rng(seed)
+    field = _random_field(rng, 3, n_terms, degree)
+    xi = rng.standard_normal(3)
+    xi /= np.linalg.norm(xi)
+    ts = np.array([0.5, 1.0, 2.0])
+    box, _ = directional_box(field, xi, order)
+    want = field.difference_lp_samples(xi, ts, order, 2.0, box.nodes,
+                                       box.weights)
+    got = autocorrelation_sum(field, xi, ts, order)
+    np.testing.assert_allclose(got, want, rtol=1e-8)
+
+
+def kummer_moment(s, j, y0):
+    """F_j(y0) through scipy's confluent hypergeometric function: the series
+    in y0 of the even or the odd part is exp(-x) times a 1F1 in x = y0^2/2."""
+    x = 0.5 * y0 ** 2
+    half = j // 2
+    if j % 2 == 0:
+        a, b, front = half - s, 0.5, 1.0
+    else:
+        a, b, front = half + 1 - s, 1.5, y0
+    return (math.exp(-x) * front * 2.0 ** a * math.gamma(a)
+            * scipy.special.hyp1f1(a, b, x))
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.25, 1.5, 2.5])
+def test_finite_part_moments_match_kummer_functions(s):
+    # both sides of the series / Laplace switch, which sits between
+    # y0 = 9 and y0 = 12 for these s, and lobes 12 and 20 widths apart
+    y0 = np.concatenate([np.linspace(-14.0, 14.0, 57), [-20.0, 20.0, 0.0]])
+    near = (0.5 * y0 ** 2 - 2.0 * s * np.log(np.maximum(y0 ** 2, 1.0))
+            < autocorrelation._LAPLACE_LEVEL)
+    assert near.any() and not near.all()
+    values, sizes = finite_part_moments(s, 6, y0)
+    for j in range(7):
+        want = np.array([kummer_moment(s, j, y) for y in y0])
+        err = np.abs(values[j] - want)
+        assert np.all(err <= 1e-13 * np.abs(want) + 2e-16 * sizes[j])
+
+
+@pytest.fixture()
+def sweep_calls(monkeypatch):
+    """Names of the sweep's pieces, once per call."""
     calls = []
-    original = AnalyticField.difference_lp_samples
 
-    def spy(self, *args, **kwargs):
-        calls.append(args[2])
-        return original(self, *args, **kwargs)
+    def spy(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(AnalyticField, "difference_lp_samples", spy)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(AnalyticField, "difference_lp_samples")
+    spy(quadrature, "directional_box")
+    spy(seminorms, "radial_from_samples")
+    return calls
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_p2_profiles_build_no_sweep(order, sweep_calls, hermite, lean2):
+    params = SmoothnessParams(0.5, 2.0)
+    profile = directional_profile(hermite, params, lean2,
+                                  difference_order=order)
+    assert np.all(profile.values > 0) and np.all(profile.tail_interval > 0)
+    directional_energy(hermite, params, np.array([0.6, 0.8]), lean2)
+    assert sweep_calls == []
+    # a flat_ok field, and p != 2, keep the sweep
+    flat = AnalyticField(2, hermite.terms, flat_ok=True)
     tiny = QuadratureBundle.default(2, box_nodes=24, sphere_resolution=4,
                                     radial_spec=RadialSpec(panels=8))
-    directional_profile(radial, SmoothnessParams(1.5, 2.0), tiny,
-                        difference_order=4)
-    assert calls and set(calls) == {4}
-    calls.clear()
-    directional_profile(radial, SmoothnessParams(1.5, 2.0), tiny)
-    assert not calls
+    directional_profile(flat, params, tiny, difference_order=order)
+    assert sweep_calls.count("difference_lp_samples") == 2
+    sweep_calls.clear()
+    directional_profile(hermite, SmoothnessParams(0.5, 3.0), tiny)
+    assert sweep_calls.count("difference_lp_samples") == 2
 
 
 @pytest.mark.parametrize("name", sorted(MIXTURES))
@@ -156,11 +218,13 @@ def test_profiles_match_the_fourier_form(name, s):
     terms = MIXTURES[name]
     field = mixture(terms)
     order = int(math.floor(s)) + 1
-    for quads, tol in ((BASE, 1e-8), (DOUBLED, 1e-9)):
+    for quads in (BASE, DOUBLED):
         profile = directional_profile(field, SmoothnessParams(s, 2.0), quads)
         want = np.array([fourier_energy(terms, xi, s, order)
                          for xi in profile.sphere.nodes])
-        assert np.max(np.abs(profile.values / want - 1.0)) <= tol
+        assert np.max(np.abs(profile.values / want - 1.0)) <= 1e-12
+        # at p = 2 the tail interval bounds the rounding error
+        assert np.all(np.abs(profile.values - want) <= profile.tail_interval)
 
 
 def test_three_dimensional_profile_matches_the_fourier_form():
@@ -174,4 +238,5 @@ def test_three_dimensional_profile_matches_the_fourier_form():
     want = np.array([fourier_energy(terms, xi, 0.5, 1)
                      for xi in profile.sphere.nodes])
     assert profile.values.shape == (1152,)
-    assert np.max(np.abs(profile.values / want - 1.0)) <= 1e-8
+    assert np.max(np.abs(profile.values / want - 1.0)) <= 1e-12
+    assert np.all(np.abs(profile.values - want) <= profile.tail_interval)

@@ -11,8 +11,7 @@ import pytest
 
 import affsob
 from affsob import (CheckResult, CheckSpec, ConfigError, VerificationReport,
-                    cli_main, config_from_dict, merge_reports, parse_config,
-                    write_plot_csv)
+                    cli_main, config_from_dict, parse_config, write_plot_csv)
 from affsob.config import (validate_balance, validate_not_excluded,
                            validate_subcritical)
 from affsob.suites import _thread_count, run_suite, suite_names
@@ -132,12 +131,9 @@ def test_report_roundtrip_and_summary():
     assert not report.passed
     assert [c.check_id for c in report.failures()] == ["two"]
     assert "1/2 checks passed [FAIL]" in report.summary()
-    clone = VerificationReport.from_json(report.to_json())
-    assert clone.suite == "demo"
-    assert [c.check_id for c in clone.checks] == ["one", "two"]
-    assert clone.csv_text() == report.csv_text()
-    merged = merge_reports("all", [report, clone])
-    assert len(merged.checks) == 4
+    assert report.csv_text().splitlines()[1:] == [
+        "demo,one,t,1.0,1.0,1.0,0.001,true,",
+        "demo,two,t,2.0,1.0,2.0,0.001,false,"]
 
 
 def test_report_csv_header_and_determinism(tmp_path):
