@@ -11,8 +11,8 @@ from .affine_energy import EnergyResult, PsiSpec, affine_energy, jensen_gap, psi
 from .config import ConfigError, RunConfig, config_from_dict, parse_config
 from .constants import (c1_first_approach, c1_general, c1_second_approach,
                         c_gamma, estimate_slicing_constants, random_frames)
-from .family import (family_members, ridge_member, standard_family,
-                     strong_shear_members, weak_grid_field)
+from .family import (ridge_member, standard_family, strong_shear_members,
+                     weak_grid_field)
 from .fields import (AnalyticField, DimensionMismatchError, GridField,
                      NumericalFailureError, SingularTransformError,
                      SmoothnessParams)

@@ -25,7 +25,7 @@ class ConfigError(ValueError):
 _QUAD_KEYS = {"box_halfwidth", "box_nodes", "sphere_nodes",
               "t_min", "t_max", "t_panels"}
 _OPT_KEYS = {"max_iters", "grad_tol", "initial_step", "backtrack",
-             "armijo_c", "max_backtracks", "restarts", "fd_epsilon"}
+             "armijo_c", "max_backtracks", "restarts"}
 _TOP_KEYS = {"dimension", "s", "p", "field", "quadrature", "optimizer", "seed"}
 
 

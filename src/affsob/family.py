@@ -45,13 +45,6 @@ def standard_family() -> dict[str, AnalyticField]:
             for name, member in spec["members"].items()}
 
 
-def family_members(names: list[str] | None = None) -> list[AnalyticField]:
-    fam = standard_family()
-    if names is None:
-        return list(fam.values())
-    return [fam[name] for name in names]
-
-
 def ridge_member(scale: float) -> AnalyticField:
     """Product profile exp(-x1^2 / (2 (w1 R)^2)) exp(-x2^2 / (2 w2^2)):
     the first axis narrows with the scale R while the second stays put."""
@@ -99,6 +92,6 @@ def support_radius() -> float:
 
 __all__ = [
     "load_family_spec", "field_from_spec", "standard_family",
-    "family_members", "ridge_member", "strong_shear_members",
+    "ridge_member", "strong_shear_members",
     "weak_grid_field", "support_radius",
 ]

@@ -169,24 +169,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def shift(self, offset: np.ndarray) -> "Polynomial":
-        """Return q(x + offset)."""
-        offset = np.asarray(offset, dtype=float)
-        n = self.dimension
-        shifted = [
-            Polynomial(n, {tuple(int(k == j) for k in range(n)): 1.0,
-                           (0,) * n: offset[j]})
-            for j in range(n)
-        ]
-        out = Polynomial(n, {})
-        for exp, c in self.items():
-            term = Polynomial.constant(n, c)
-            for j, e in enumerate(exp):
-                for _ in range(e):
-                    term = term * shifted[j]
-            out = out + term
-        return out
-
 
 # (step, node) pairs per block of the fused difference sweep: every
 # work array of a block holds about this many doubles and stays in cache

@@ -106,10 +106,6 @@ class BoxQuadrature:
             nodes.append(min(max(m, m0 // 2, 8), _MAX_NODES_PER_AXIS))
         return cls(half_widths, tuple(nodes), frame=eigvec)
 
-    def support_width(self, direction: np.ndarray) -> float:
-        """Support function of the box along a unit direction."""
-        return float(np.abs(self.frame.T @ direction) @ self.half_widths)
-
 
 # at this multiple of the field's support width, adjacent difference lobes
 # overlap below the box-fitting decay floor and the L^p mass has saturated
@@ -290,17 +286,14 @@ class RadialQuadrature:
 
 def radial_from_samples(samples: np.ndarray, s: float, p: float, order: int,
                         rq: RadialQuadrature,
-                        sup_bound: float | None = None,
-                        far_constant: float | None = None) -> tuple[float, float]:
+                        far_constant: float) -> tuple[float, float]:
     """Assemble the singular integral from g sampled at the rule's nodes.
 
     Returns (value, tail_interval_width). Body is the weighted panel sum of
     t^{-sp-1} g(t); below t_min the model g ~ c t^{mp} fitted at the first
-    node closes the integral.  Above t_max, either the exact separated-lobes
-    limit far_constant replaces g (the rule's range must then reach the
-    separation scale, so the residual interval is the lobe-interaction floor),
-    or without it the midpoint of [0, bound] is used with
-    bound = sup_bound * t_max^{-sp} / (sp).
+    node closes the integral.  Above t_max the exact separated-lobes limit
+    far_constant replaces g: the rule's range must reach the separation
+    scale, so the residual interval is the lobe-interaction floor.
     """
     sp = s * p
     head_exp = (order - s) * p
@@ -314,13 +307,8 @@ def radial_from_samples(samples: np.ndarray, s: float, p: float, order: int,
     body = float((rq.weights * rq.nodes ** (-sp - 1.0) * samples).sum())
     c_head = samples[0] / rq.nodes[0] ** (order * p)
     head = c_head * rq.t_min ** head_exp / head_exp
-    if far_constant is not None:
-        far = far_constant * rq.t_max ** (-sp) / sp
-        return body + head + far, far * 1e-9 + 0.5 * head
-    if sup_bound is None:
-        sup_bound = float(samples.max())
-    tail_width = sup_bound * rq.t_max ** (-sp) / sp
-    return body + head + 0.5 * tail_width, tail_width
+    far = far_constant * rq.t_max ** (-sp) / sp
+    return body + head + far, far * 1e-9 + 0.5 * head
 
 
 def pushforward_weight(matrix: np.ndarray, omega: np.ndarray) -> float:

@@ -101,8 +101,14 @@ def lp_norm(field, p: float, box: BoxQuadrature) -> float:
     """(integral of |f|^p)^(1/p) over the quadrature box."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    total = integrate_box(lambda pts: np.abs(field.evaluate(pts)) ** p, box)
-    return float(total) ** (1.0 / p)
+    return float(_lp_power(field, p, box)) ** (1.0 / p)
+
+
+def _lp_power(field, p: float, box: BoxQuadrature) -> float:
+    """Integral of |f|^p over the box.  An overflow of |f|^p is reported
+    once, by integrate_box's finiteness check, not also as a warning."""
+    with np.errstate(over="ignore"):
+        return integrate_box(lambda pts: np.abs(field.evaluate(pts)) ** p, box)
 
 
 def _integer_order(params: SmoothnessParams) -> int:
@@ -142,11 +148,11 @@ def _grid_partial_arrays(field: GridField, order: int) -> tuple[list[tuple[int, 
     return alphas, stacked
 
 
-def _integer_profile_values(field, order: int, p: float,
-                            sphere: SphereQuadrature,
-                            box: BoxQuadrature | None) -> np.ndarray:
+def _integer_energies(field, order: int, p: float, directions: np.ndarray,
+                      box: BoxQuadrature | None) -> np.ndarray:
+    """L^p energy of the order-th derivative along each direction."""
     alphas, mat, weights = _derivative_samples(field, order, box)
-    W = directional_weight_matrix(sphere.nodes, alphas)
+    W = directional_weight_matrix(directions, alphas)
     n_pts = mat.shape[1]
     values = np.empty(W.shape[0])
     block = max(1, _SWEEP_BLOCK // max(n_pts, 1))
@@ -165,9 +171,7 @@ def _separated_lobes_constant(order: int, p: float) -> float:
 
 def directional_profile(field, params: SmoothnessParams,
                         quads: QuadratureBundle, *,
-                        box: BoxQuadrature | None = None,
-                        difference_order: int | None = None,
-                        exploit_symmetry: bool = True) -> DirectionalEnergyProfile:
+                        difference_order: int | None = None) -> DirectionalEnergyProfile:
     """Energies D(f, xi) at every node of the bundle's sphere quadrature.
 
     difference_order overrides the default order floor(s)+1 on the
@@ -182,32 +186,33 @@ def directional_profile(field, params: SmoothnessParams,
             raise ValueError("difference_order applies to the non-integer branch")
         _warn_if_excluded(params)
         order = _integer_order(params)
-        if box is None and not isinstance(field, GridField):
-            box = quads.box_for(field)
-        values = _integer_profile_values(field, order, params.p, sphere, box)
-        return DirectionalEnergyProfile(params, sphere, values, np.zeros(n))
+        box = None if isinstance(field, GridField) else quads.box_for(field)
 
-    if isinstance(field, GridField):
-        raise ValueError("difference-quotient branch needs an analytic field")
-    order = params.difference_order if difference_order is None else int(difference_order)
-    if order <= params.s:
-        raise ValueError("difference order must exceed s")
+        def energies(directions):
+            return (_integer_energies(field, order, params.p, directions, box),
+                    np.zeros(directions.shape[0]))
+    else:
+        if isinstance(field, GridField):
+            raise ValueError("difference-quotient branch needs an analytic field")
+        order = params.difference_order if difference_order is None \
+            else int(difference_order)
+        if order <= params.s:
+            raise ValueError("difference order must exceed s")
 
+        def energies(directions):
+            return _radial_energies(field, directions, params.s, params.p,
+                                    order, quads, None)
+
+    # reversing the direction leaves both energies unchanged: the derivative
+    # flips sign, and the difference L^p norm survives a translation by
+    # order*h and a sign flip, so antipodes share their energy
+    antipode = np.arange(n) if sphere.antipode is None else sphere.antipode
+    targets = np.flatnonzero(antipode >= np.arange(n))
     values = np.empty(n)
     tails = np.empty(n)
-    if exploit_symmetry and sphere.antipode is not None:
-        targets = [j for j in range(n) if sphere.antipode[j] >= j]
-    else:
-        targets = list(range(n))
-    values[targets], tails[targets] = _radial_energies(
-        field, sphere.nodes[targets], params.s, params.p, order, quads, box)
-    if exploit_symmetry and sphere.antipode is not None:
-        # reversing the step direction leaves the difference L^p norm unchanged
-        # (translate by order*h and flip sign), so antipodes share their energy
-        for j in targets:
-            k = sphere.antipode[j]
-            values[k] = values[j]
-            tails[k] = tails[j]
+    values[targets], tails[targets] = energies(sphere.nodes[targets])
+    values[antipode[targets]] = values[targets]
+    tails[antipode[targets]] = tails[targets]
     return DirectionalEnergyProfile(params, sphere, values, tails)
 
 
@@ -229,7 +234,7 @@ def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
             return exact
     if box is None:
         box = quads.box_for(field)
-    fpp = integrate_box(lambda pts: np.abs(field.evaluate(pts)) ** p, box)
+    fpp = _lp_power(field, p, box)
     far_constant = _separated_lobes_constant(order, p) * fpp
     values = np.empty(directions.shape[0])
     tails = np.empty(directions.shape[0])
@@ -256,8 +261,7 @@ def directional_energy(field, params: SmoothnessParams, xi: np.ndarray,
         order = _integer_order(params)
         if box is None and not isinstance(field, GridField):
             box = quads.box_for(field)
-        single = SphereQuadrature(xi[None, :], np.array([1.0]))
-        return float(_integer_profile_values(field, order, params.p, single, box)[0])
+        return float(_integer_energies(field, order, params.p, xi[None, :], box)[0])
 
     values, _ = _radial_energies(field, xi[None, :], params.s, params.p,
                                  params.difference_order, quads, box)
@@ -288,59 +292,201 @@ def _hessian_stack(alphas: list[tuple[int, ...]], mat: np.ndarray,
     return hess
 
 
-def _hessian_norms(hess: np.ndarray) -> np.ndarray:
-    """Largest |eigenvalue| of each matrix in a symmetric stack."""
-    return np.abs(np.linalg.eigvalsh(hess)).max(axis=1)
+def _contracted_partials(alphas: list[tuple[int, ...]], mat: np.ndarray,
+                         y: np.ndarray) -> np.ndarray:
+    """g[i, j] = D^k f(x_i)[y_i^(k-1), e_j] from the order-k partials, so
+    that k g[i] is the gradient in y of d^k_y f(x_i)."""
+    order, n = sum(alphas[0]), y.shape[1]
+    betas = multi_indices(n, order - 1)
+    W = directional_weight_matrix(y, betas)
+    row = {a: r for r, a in enumerate(alphas)}
+    g = np.zeros_like(y)
+    for b, beta in enumerate(betas):
+        for j in range(n):
+            alpha = tuple(e + (i == j) for i, e in enumerate(beta))
+            g[:, j] += W[:, b] * mat[row[alpha]]
+    return g
 
 
-def _scan_directions(dim: int, sphere: SphereQuadrature) -> np.ndarray:
-    """Directions of the dense scan that stands in for the order >= 3 norm."""
-    return build_sphere_quadrature(dim, 4 * max(sphere.nodes.shape[0], 64)).nodes
+class _SampleObjective:
+    """T -> |f o T|_{s,p} over determinant-one T, from samples of f taken
+    once at T = I: value(T) = (sum_i w_i e_i(T))^(1/p).
 
-
-def _scan_norms(alphas: list[tuple[int, ...]], mat: np.ndarray,
-                directions: np.ndarray) -> np.ndarray:
-    """max over the given directions v of |d^order_v f| at each sample."""
-    W = directional_weight_matrix(directions, alphas)
-    return np.abs(W @ mat).max(axis=0)
-
-
-def _pointwise_derivative_norm(field, order: int, box: BoxQuadrature | None,
-                               sphere: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """max over unit xi of |d^order_xi f| at each quadrature point.
-
-    Exact for orders 1 and 2 (gradient length, extreme Hessian eigenvalue);
-    order >= 3 falls back to a dense scan over sphere directions.
+    `energies(T)` returns the e_i.  `factors(T)` returns rows a_i, scales
+    c_i and rows b_i of the moment S = sum_i w_i c_i a_i b_i^t, whose trace
+    is sum_i w_i e_i and whose pairing <S, M> is the derivative of that
+    sum along T exp(eps M), divided by p * rate.  Every branch therefore
+    has the same exact gradient: rate * power^(1/p - 1) times the
+    trace-free part of S.
     """
+
+    def __init__(self, energies, factors, weights: np.ndarray, p: float,
+                 rate: float, dimension: int):
+        self.energies, self.factors = energies, factors
+        self.weights = weights
+        self.p, self.rate = float(p), float(rate)
+        self.dimension = dimension
+
+    def value(self, matrix: np.ndarray) -> float:
+        return float(self.weights @ self.energies(matrix)) ** (1.0 / self.p)
+
+    def moment(self, matrix: np.ndarray) -> np.ndarray:
+        left, scale, right = self.factors(matrix)
+        return (left * (scale * self.weights)[:, None]).T @ right
+
+    def gradient(self, matrix: np.ndarray) -> np.ndarray:
+        s = self.moment(matrix)
+        power = np.trace(s)
+        projected = s - (power / self.dimension) * np.eye(self.dimension)
+        return self.rate * power ** (1.0 / self.p - 1.0) * projected
+
+
+def _norm_power_objective(vectors: np.ndarray, weights: np.ndarray, q: float,
+                          p: float, inverse: bool = False) -> _SampleObjective:
+    """e = |v|^q with v = T^t x, or v = T^{-1} x when `inverse` is set.
+    d|v|^q = q |v|^{q-2} <v v^t, M> for v = T^t x and the negative of that
+    for v = T^{-1} x, so S = sum w |v|^{q-2} v v^t at rate q/p, or -q/p
+    when `inverse` is set."""
+
+    def images(matrix):
+        if inverse:
+            return vectors @ np.linalg.inv(matrix).T
+        return vectors @ matrix
+
+    def energies(matrix):
+        return np.linalg.norm(images(matrix), axis=1) ** q
+
+    def factors(matrix):
+        v = images(matrix)
+        speeds = np.linalg.norm(v, axis=1)
+        if q < 2.0:
+            scale = np.where(speeds > 0.0, speeds ** (q - 2.0), 0.0)
+        else:
+            scale = speeds ** (q - 2.0)
+        return v, scale, v
+
+    rate = (-q if inverse else q) / p
+    return _SampleObjective(energies, factors, weights, p, rate,
+                            vectors.shape[1])
+
+
+def _hessian_objective(hessians: np.ndarray, weights: np.ndarray,
+                       p: float) -> _SampleObjective:
+    """e = |lambda|^p for the top |eigenvalue| lambda of T^t H T.  With v
+    its unit eigenvector, d|lambda| = 2 |lambda| <v v^t, M>, so
+    S = sum w |lambda|^p v v^t at rate 2.  At a tie any vector of the top
+    eigenspace gives a valid subgradient."""
+
+    def energies(matrix):
+        lam = np.linalg.eigvalsh(matrix.T @ hessians @ matrix)
+        return np.abs(lam).max(axis=1) ** p
+
+    def factors(matrix):
+        lam, vecs = np.linalg.eigh(matrix.T @ hessians @ matrix)
+        top = np.abs(lam).argmax(axis=1)
+        v = np.take_along_axis(vecs, top[:, None, None], axis=2)[:, :, 0]
+        lam = np.take_along_axis(lam, top[:, None], axis=1)[:, 0]
+        return v, np.abs(lam) ** p, v
+
+    return _SampleObjective(energies, factors, weights, p, 2.0,
+                            hessians.shape[1])
+
+
+def _scan_objective(alphas: list[tuple[int, ...]], mat: np.ndarray,
+                    weights: np.ndarray, p: float,
+                    directions: np.ndarray) -> _SampleObjective:
+    """e = max over the scan directions xi of |d^k_{T xi} f|^p, a dense
+    scan standing in for the order k >= 3 norm.  By Danskin's theorem the
+    derivative is taken at each sample's maximising xi*: d h = k D^k f
+    [(T xi*)^(k-1), T M xi*] = k <T^t g xi*^t, M>, so with h the signed
+    maximum, S = sum w |h|^(p-1) sign(h) (T^t g) xi*^t at rate k."""
+    n_pts = mat.shape[1]
+
+    def scan(matrix):
+        """Signed maximum h at each sample and the index of its xi*, in
+        blocks of samples that each hold about _SWEEP_BLOCK values."""
+        W = directional_weight_matrix(directions @ matrix.T, alphas)
+        h = np.empty(n_pts)
+        top = np.empty(n_pts, dtype=np.intp)
+        block = max(1, _SWEEP_BLOCK // W.shape[0])
+        for lo in range(0, n_pts, block):
+            values = W @ mat[:, lo:lo + block]
+            top[lo:lo + block] = np.abs(values).argmax(axis=0)
+            h[lo:lo + block] = np.take_along_axis(
+                values, top[None, lo:lo + block], axis=0)[0]
+        return h, top
+
+    def energies(matrix):
+        return np.abs(scan(matrix)[0]) ** p
+
+    def factors(matrix):
+        h, top = scan(matrix)
+        xi = directions[top]
+        g = _contracted_partials(alphas, mat, xi @ matrix.T)
+        return g @ matrix, np.sign(h) * np.abs(h) ** (p - 1.0), xi
+
+    return _SampleObjective(energies, factors, weights, p,
+                            float(sum(alphas[0])), directions.shape[1])
+
+
+def _sample_objective(field, params: SmoothnessParams,
+                      quads: QuadratureBundle, *,
+                      profile: DirectionalEnergyProfile | None = None
+                      ) -> _SampleObjective:
+    """The objective T -> |f o T|_{s,p} on samples of f taken at T = I.
+    With det T = 1 changes of variables keep those samples valid at every T:
+
+    - s = 1: the integral of |T^t grad f(Tx)|^p equals that of
+      |T^t grad f|^p over the original box;
+    - fractional s: |f o T|_{s,p}^p = int_S |T^{-1} eta|^{-(N+sp)}
+      D(f, eta) dsigma(eta), so one directional profile of f suffices
+      (`profile`, computed here when not given);
+    - integer s >= 2: the s-th derivative of f o T along xi is that of f
+      along T xi, applied to the order-s partials of f on the original box.
+    """
+    n = field.dimension
+    if params.fractional:
+        if profile is None:
+            profile = directional_profile(field, params, quads)
+        sphere = profile.sphere
+        return _norm_power_objective(
+            sphere.nodes, sphere.weights * profile.values,
+            -(n + params.s * params.p), params.p, inverse=True)
+    order = _integer_order(params)
+    box = None if isinstance(field, GridField) else quads.box_for(field)
     alphas, mat, weights = _derivative_samples(field, order, box)
-    dim = field.dimension
     if order == 1:
-        norms = np.sqrt(np.sum(mat ** 2, axis=0))
-    elif order == 2:
-        norms = _hessian_norms(_hessian_stack(alphas, mat, dim))
-    else:
-        norms = _scan_norms(alphas, mat, _scan_directions(dim, sphere))
-    return norms, weights
+        grads = np.empty((mat.shape[1], n))
+        for a, row in zip(alphas, mat):
+            grads[:, a.index(1)] = row
+        return _norm_power_objective(grads, weights, params.p, params.p)
+    if order == 2:
+        return _hessian_objective(_hessian_stack(alphas, mat, n), weights,
+                                  params.p)
+    # the scan has about four times the sphere's nodes; a 3-D rule with
+    # resolution r has 2 r^2 of them
+    count = 4 * max(quads.sphere.nodes.shape[0], 64)
+    resolution = count if n == 2 else math.ceil(math.sqrt(count / 2))
+    directions = build_sphere_quadrature(n, resolution).nodes
+    return _scan_objective(alphas, mat, weights, params.p, directions)
 
 
 def seminorm(field, params: SmoothnessParams, quads: QuadratureBundle, *,
              profile: DirectionalEnergyProfile | None = None) -> float:
-    """The homogeneous semi-norm |f|_{s,p} (difference or derivative branch)."""
+    """The homogeneous semi-norm |f|_{s,p} (difference or derivative branch).
+
+    On the derivative branch it is the optimizer's objective at T = I.
+    """
     if params.fractional:
         if profile is None:
             profile = directional_profile(field, params, quads)
         return profile.integrate() ** (1.0 / params.p)
 
     _warn_if_excluded(params)
-    order = _integer_order(params)
-    box = None
-    if not isinstance(field, GridField):
-        box = quads.box_for(field)
-    norms, weights = _pointwise_derivative_norm(field, order, box, quads.sphere)
-    total = float(norms ** params.p @ weights)
-    if not np.isfinite(total):
+    value = _sample_objective(field, params, quads).value(np.eye(field.dimension))
+    if not np.isfinite(value):
         raise NumericalFailureError("non-finite derivative-norm integral")
-    return total ** (1.0 / params.p)
+    return value
 
 
 def starred_seminorm(field, s: int, p: float, quads: QuadratureBundle, *,

@@ -4,12 +4,12 @@ The energy of f composed with T, as T ranges over the determinant-one group,
 attains its minimum; at a minimizer every direction carries a comparable
 share of the energy.  This module provides the descent machinery: a matrix
 manifold retraction T -> T exp(-eta B) with B trace free, exact gradients,
-finite-difference gradients, critical-point residuals, and the
-stretch-one-direction step whose strict descent certifies that a direction
-was too weak.
+critical-point residuals, and the stretch-one-direction step whose strict
+descent certifies that a direction was too weak.
 
 The descent never composes a field.  With det T = 1, changes of variables
-let samples of f taken once at T = I serve every T:
+let samples of f taken once at T = I serve every T (see
+seminorms._sample_objective):
 
 - s = 1: the integral of |T^t grad f(Tx)|^p equals that of |T^t grad f|^p
   over the original box;
@@ -18,11 +18,14 @@ let samples of f taken once at T = I serve every T:
 - integer s >= 2: the s-th derivative of f o T along xi is that of f along
   T xi, applied to the order-s partials of f on the original box.
 
-The first two are moment objectives with an exact gradient; the third uses
-central differences on its fixed samples.  Fixed samples keep the discrete
-objective smooth in T, which the Armijo search needs near convergence.  The
-public objective() sticks to the literal composition path and is used for
-all reported values.
+Each branch is one fixed-sample objective with an exact gradient: a moment
+at s = 1 and at fractional s, eigenvalue perturbation of the top Hessian
+eigenvalue at order 2, and Danskin's theorem at the maximising scan
+direction at order >= 3.  Fixed samples keep the discrete objective
+continuous in T, which the Armijo search needs near convergence.
+numeric_gradient (central differences) is kept as an independent check of
+those gradients.  The public objective() sticks to the literal composition
+path and is used for the reported values.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ import numpy as np
 
 from .fields import AnalyticField, NumericalFailureError, SmoothnessParams
 from .quadrature import QuadratureBundle
-from .seminorms import (DirectionalEnergyProfile, _derivative_samples,
-                        _hessian_norms, _hessian_stack, _scan_directions,
-                        _scan_norms, directional_profile, seminorm)
+from .seminorms import _sample_objective, directional_profile, seminorm
 
 _DET_TOL = 1e-9
 
@@ -84,14 +85,13 @@ class OptimizerOptions:
     armijo_c: float = 1e-4
     max_backtracks: int = 40
     restarts: int = 0
-    fd_epsilon: float = 1e-5
 
     def __post_init__(self):
         if self.max_iters <= 0 or self.grad_tol <= 0 or self.initial_step <= 0:
             raise ValueError("iteration limits and tolerances must be positive")
         if not 0.0 < self.backtrack < 1.0:
             raise ValueError("backtracking factor must lie in (0, 1)")
-        if self.armijo_c <= 0 or self.max_backtracks <= 0 or self.fd_epsilon <= 0:
+        if self.armijo_c <= 0 or self.max_backtracks <= 0:
             raise ValueError("line-search parameters must be positive")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
@@ -172,129 +172,12 @@ def objective(field, T, params: SmoothnessParams, quads: QuadratureBundle) -> fl
     return seminorm(field.affine_compose(m), params, quads)
 
 
-class _MomentContext:
-    """Fixed-sample evaluator for objectives of the form
-    (sum_i w_i |v_i|^q)^{1/p}, where v_i = T^t x_i, or v_i = T^{-1} x_i
-    when `inverse` is set.  Vectors and weights are taken once at T = I;
-    every T then costs one matrix product.
-
-    The objective along T exp(eps M) moves by rate * <S, M> with the moment
-    S = sum_i w_i |v_i|^{q-2} v_i v_i^t, whose trace is the p-th power of
-    the objective, so the gradient is exact.
-    """
-
-    def __init__(self, vectors: np.ndarray, weights: np.ndarray, q: float,
-                 p: float, inverse: bool = False):
-        self.vectors = vectors
-        self.weights = weights
-        self.q = float(q)
-        self.p = float(p)
-        self.inverse = inverse
-        self.dimension = vectors.shape[1]
-
-    def _images(self, matrix: np.ndarray) -> np.ndarray:
-        if self.inverse:
-            return self.vectors @ np.linalg.inv(matrix).T
-        return self.vectors @ matrix
-
-    def value(self, matrix: np.ndarray) -> float:
-        speeds = np.linalg.norm(self._images(matrix), axis=1)
-        return float(self.weights @ speeds ** self.q) ** (1.0 / self.p)
-
-    def moment_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """S = sum_i w_i |v_i|^{q-2} v_i v_i^t, the symmetric moment whose
-        trace is the p-th power of the objective."""
-        v = self._images(matrix)
-        speeds = np.linalg.norm(v, axis=1)
-        if self.q < 2.0:
-            scale = np.where(speeds > 0.0, speeds ** (self.q - 2.0), 0.0)
-        else:
-            scale = speeds ** (self.q - 2.0)
-        return (v * (scale * self.weights)[:, None]).T @ v
-
-    def gradient(self, matrix: np.ndarray) -> np.ndarray:
-        s = self.moment_matrix(matrix)
-        power = np.trace(s)
-        projected = s - (power / self.dimension) * np.eye(self.dimension)
-        # d|v|^q = q |v|^{q-2} <v v^t, M> for v = T^t x, and the negative
-        # of that for v = T^{-1} x; first order has rate exactly 1
-        rate = (-self.q if self.inverse else self.q) / self.p
-        return rate * power ** (1.0 / self.p - 1.0) * projected
-
-
-def _first_order_context(field: AnalyticField, p: float,
-                         quads: QuadratureBundle) -> _MomentContext:
-    """grad f on the base box: with det T = 1, x -> Tx preserves measure,
-    so |f o T|_{1,p}^p = int |T^t grad f|^p over the original box."""
-    box = quads.box_for(field)
-    grads = np.column_stack([
-        field.partial_derivative(axis).evaluate(box.nodes)
-        for axis in range(field.dimension)])
-    return _MomentContext(grads, box.weights, p, p)
-
-
-def _fractional_context(profile: DirectionalEnergyProfile) -> _MomentContext:
-    """One directional profile at T = I: with det T = 1,
-    |f o T|_{s,p}^p = int_S |T^{-1} eta|^{-(N+sp)} D(f, eta) dsigma(eta)."""
-    sphere, params = profile.sphere, profile.params
-    return _MomentContext(sphere.nodes, sphere.weights * profile.values,
-                          -(sphere.dimension + params.s * params.p), params.p,
-                          inverse=True)
-
-
-class _DerivativeNormContext:
-    """Fixed-sample evaluator for integer order k >= 2: the semi-norm's
-    pointwise derivative norm with T applied to the order-k partials of f
-    taken once on the base box.  The k-th derivative of f o T along xi is
-    that of f along T xi, so order 2 uses T^t H T and higher orders scan
-    the directions T xi.  Gradients are central differences of value().
-    """
-
-    def __init__(self, field: AnalyticField, params: SmoothnessParams,
-                 quads: QuadratureBundle, fd_epsilon: float):
-        self.field, self.params, self.quads = field, params, quads
-        self.fd_epsilon = fd_epsilon
-        self.p = float(params.p)
-        self.order = params.difference_order
-        self.dimension = field.dimension
-        self.alphas, samples, self.weights = _derivative_samples(
-            field, self.order, quads.box_for(field))
-        if self.order == 2:
-            self.hessians = _hessian_stack(self.alphas, samples, self.dimension)
-        else:
-            self.samples = samples
-            self.directions = _scan_directions(self.dimension, quads.sphere)
-
-    def value(self, matrix: np.ndarray) -> float:
-        if self.order == 2:
-            tops = _hessian_norms(matrix.T @ self.hessians @ matrix)
-        else:
-            tops = _scan_norms(self.alphas, self.samples,
-                               self.directions @ matrix.T)
-        return float(self.weights @ tops ** self.p) ** (1.0 / self.p)
-
-    def gradient(self, matrix: np.ndarray) -> np.ndarray:
-        return numeric_gradient(self.field, matrix, self.params, self.quads,
-                                fd_epsilon=self.fd_epsilon,
-                                _value_fn=self.value)
-
-
-def _context(field: AnalyticField, params: SmoothnessParams,
-             quads: QuadratureBundle, fd_epsilon: float):
-    if params.fractional:
-        return _fractional_context(directional_profile(field, params, quads))
-    if params.difference_order == 1:
-        return _first_order_context(field, params.p, quads)
-    return _DerivativeNormContext(field, params, quads, fd_epsilon)
-
-
-def exact_gradient_s1(field, T, p: float, quads: QuadratureBundle,
-                      context: _MomentContext | None = None) -> np.ndarray:
+def exact_gradient_s1(field, T, p: float, quads: QuadratureBundle) -> np.ndarray:
     """Gradient of T -> |f o T|_{W^{1,p}} along the retraction T exp(eps M),
     projected onto the trace-free tangent.  For p < 2 the integrand is taken
     on the set where the gradient does not vanish, which identifies the
     almost-everywhere derivative."""
-    ctx = context or _first_order_context(field, p, quads)
+    ctx = _sample_objective(field, SmoothnessParams(1.0, p), quads)
     return ctx.gradient(_as_matrix(T))
 
 
@@ -382,10 +265,9 @@ def minimize(field, params: SmoothnessParams, opts: OptimizerOptions,
     """Minimize T -> |f o T|_{W^{s,p}} over determinant-one matrices.
 
     Monotone Armijo descent with the retraction T exp(-eta B) on the
-    fixed-sample objective of _context; B is the exact gradient at s = 1
-    and at fractional s and a central-difference gradient at integer
-    s >= 2.  Returns (T*, value, trace) with T* polar-aligned (its free
-    rotation factor removed) and value recomputed through the public
+    fixed-sample objective of seminorms._sample_objective, where B is its
+    exact gradient.  Returns (T*, value, trace) with T* polar-aligned (its
+    free rotation factor removed) and value recomputed through the public
     composition objective.
     """
     if not isinstance(field, AnalyticField):
@@ -397,11 +279,14 @@ def minimize(field, params: SmoothnessParams, opts: OptimizerOptions,
         # gives objective(field, I) bit for bit
         profile = directional_profile(field, params, quads)
         base_value = seminorm(field, params, quads, profile=profile)
-        ctx = _fractional_context(profile)
+        ctx = _sample_objective(field, params, quads, profile=profile)
     else:
-        base_value = objective(field, np.eye(n), params, quads)
-        ctx = _context(field, params, quads, opts.fd_epsilon)
-    if not np.isfinite(base_value) or base_value <= 0.0:
+        # the integer semi-norm is this objective at the identity
+        ctx = _sample_objective(field, params, quads)
+        base_value = ctx.value(np.eye(n))
+    if not np.isfinite(base_value):
+        raise NumericalFailureError("non-finite objective at the identity")
+    if base_value <= 0.0:
         raise ValueError("field has no smoothness energy to minimize")
 
     starts = [np.eye(n)]
@@ -424,13 +309,12 @@ def minimize(field, params: SmoothnessParams, opts: OptimizerOptions,
     return UnimodularTransform(aligned), final_value, trace
 
 
-def critical_residuals(field, T, p: float, quads: QuadratureBundle,
-                       context: _MomentContext | None = None):
+def critical_residuals(field, T, p: float, quads: QuadratureBundle):
     """First order criticality defects at T, both normalized by the energy:
     r_general maxes |<S, M>| over a trace-free basis, r_diag compares the
     first diagonal moment against the equidistributed share tr(S)/N."""
-    ctx = context or _first_order_context(field, p, quads)
-    s = ctx.moment_matrix(_as_matrix(T))
+    ctx = _sample_objective(field, SmoothnessParams(1.0, p), quads)
+    s = ctx.moment(_as_matrix(T))
     total = np.trace(s)
     if total <= 0:
         raise ValueError("field has no smoothness energy at this transform")

@@ -120,11 +120,14 @@ def test_radial_quadrature_matches_scipy():
 
 def test_integrate_radial_closed_form():
     # weight t^{-sp-1} = t^{-2} against g(t) = t^2/(1+t^2): integral pi/2;
-    # the range reaches 4e8, where the tail t_max^{-sp}/(sp) is below 1e-8
+    # the range reaches 4e8, where g is at its limit 1 up to 1e-17, and the
+    # far field closes the integral with that limit.  The interval holds
+    # half the modelled head, t_min / 2, so the rule starts at 1e-7 (about
+    # six panels per decade, as before)
     s, p, order = 0.5, 2.0, 1
-    rq = RadialQuadrature(1e-4, 4e8, panels=73)
+    rq = RadialQuadrature(1e-7, 4e8, panels=90)
     samples = rq.nodes ** 2 / (1.0 + rq.nodes ** 2)
-    got, tail = radial_from_samples(samples, s, p, order, rq, sup_bound=1.0)
+    got, tail = radial_from_samples(samples, s, p, order, rq, far_constant=1.0)
     assert got == pytest.approx(math.pi / 2, rel=1e-6)
     assert 0 <= tail < 1e-6
 

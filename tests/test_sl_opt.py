@@ -17,7 +17,8 @@ from affsob import (AnalyticField, GridField, NumericalFailureError,
 from affsob.constants import c1_first_approach
 from affsob import seminorms, sl_opt
 from affsob.family import strong_shear_members
-from affsob.sl_opt import _context, _descend
+from affsob.seminorms import _sample_objective
+from affsob.sl_opt import _descend
 
 P12 = SmoothnessParams(1.0, 2.0)
 
@@ -82,7 +83,7 @@ def test_pushforward_objective_matches_literal_composition(
     # profile of the composed field
     field = request.getfixturevalue(field_name)
     params = SmoothnessParams(s, 2.0)
-    ctx = _context(field, params, lean2, 1e-5)
+    ctx = _sample_objective(field, params, lean2)
     rng = np.random.default_rng(11)
     for _ in range(2):
         t = random_unimodular(rng, 2, condition_range=(1.0, 1.5))
@@ -90,21 +91,48 @@ def test_pushforward_objective_matches_literal_composition(
             objective(field, t, params, lean2), rel=1e-8)
 
 
-@pytest.mark.parametrize("s,p", [(1.0, 2.0), (0.5, 3.0), (1.5, 2.0)])
+@pytest.mark.parametrize("s,p", [(1.0, 2.0), (0.5, 3.0), (1.5, 2.0),
+                                 (2.0, 2.0), (2.0, 3.0), (2.0, 1.5),
+                                 (3.0, 2.0)])
 def test_exact_gradient_agrees_with_central_differences(s, p, aniso, bundle2,
                                                         lean2, rng):
+    # s = 1 against the literal composition; otherwise against the
+    # fixed-sample objective the descent uses: the moment at fractional s,
+    # eigenvalue perturbation at order 2, Danskin's theorem at order 3
     t = random_unimodular(rng, 2)
     params = SmoothnessParams(s, p)
-    if params.fractional:
-        ctx = _context(aniso, params, lean2, 1e-5)
-        exact = ctx.gradient(t)
-        numeric = numeric_gradient(aniso, t, params, lean2,
-                                   _value_fn=ctx.value)
-    else:
+    if s == 1.0:
         exact = exact_gradient_s1(aniso, t, p, bundle2)
         numeric = numeric_gradient(aniso, t, params, bundle2)
+    else:
+        quads = lean2 if params.fractional else bundle2
+        ctx = _sample_objective(aniso, params, quads)
+        exact = ctx.gradient(t)
+        numeric = numeric_gradient(aniso, t, params, quads,
+                                   _value_fn=ctx.value)
     np.testing.assert_allclose(exact, numeric,
                                atol=1e-8 * max(1.0, np.abs(exact).max()))
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
+def test_integer_minimize_uses_exact_gradients(s, aniso, lean2, monkeypatch):
+    calls = {"numeric_gradient": 0, "objective": 0}
+
+    def spy(name):
+        original = getattr(sl_opt, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(sl_opt, name, counting)
+
+    spy("numeric_gradient")
+    spy("objective")
+    minimize(aniso, SmoothnessParams(s, 2.0), OptimizerOptions(max_iters=3),
+             lean2)
+    # the start value comes from the descent's objective at T = I, so the
+    # composition path runs once, for the reported value
+    assert calls == {"numeric_gradient": 0, "objective": 1}
 
 
 def test_minimize_anisotropic_gaussian(aniso, bundle2):
@@ -198,6 +226,16 @@ def test_minimize_radial_exits_at_identity(radial, bundle2):
     assert len(trace) <= 3
     np.testing.assert_allclose(t.matrix, np.eye(2), atol=1e-8)
     assert value == pytest.approx(math.sqrt(math.pi), rel=1e-9)
+
+
+def test_minimize_radial_exits_at_identity_at_second_order(radial, bundle2):
+    # every Hessian of a radial field has tied |eigenvalues| somewhere, and
+    # any top eigenvector gives a valid subgradient there
+    params = SmoothnessParams(2.0, 2.0)
+    t, value, trace = minimize(radial, params, OptimizerOptions(), bundle2)
+    assert len(trace) <= 3
+    np.testing.assert_allclose(t.matrix, np.eye(2), atol=1e-8)
+    assert value == pytest.approx(seminorm(radial, params, bundle2), rel=1e-9)
 
 
 def test_minimize_undoes_a_shear(family, bundle2):
