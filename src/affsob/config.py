@@ -45,16 +45,19 @@ def _build_quadrature(dimension: int, raw: dict | None) -> QuadratureBundle:
     unknown = set(raw) - _QUAD_KEYS
     if unknown:
         raise ConfigError(f"unknown quadrature keys: {sorted(unknown)}")
-    spec = RadialSpec(
-        t_min=float(raw.get("t_min", 1e-4)),
-        t_max=float(raw.get("t_max", 1e3)),
-        panels=int(raw.get("t_panels", 40)))
-    return QuadratureBundle.default(
-        dimension,
-        box_nodes=raw.get("box_nodes"),
-        sphere_resolution=raw.get("sphere_nodes"),
-        box_half_width=raw.get("box_halfwidth"),
-        radial_spec=spec)
+    default = RadialSpec()
+    try:
+        spec = RadialSpec(t_min=raw.get("t_min", default.t_min),
+                          t_max=raw.get("t_max", default.t_max),
+                          panels=raw.get("t_panels", default.panels))
+        return QuadratureBundle.default(
+            dimension,
+            box_nodes=raw.get("box_nodes"),
+            sphere_resolution=raw.get("sphere_nodes"),
+            box_half_width=raw.get("box_halfwidth"),
+            radial_spec=spec)
+    except ValueError as exc:
+        raise ConfigError(f"bad quadrature: {exc}") from exc
 
 
 def _build_optimizer(raw: dict | None) -> OptimizerOptions:

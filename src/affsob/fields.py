@@ -55,16 +55,17 @@ def _as_matrix(x: np.ndarray, dimension: int) -> tuple[np.ndarray, bool]:
 
 
 class Polynomial:
-    """Sparse multivariate polynomial, exponent tuple -> coefficient.
+    """Sparse multivariate polynomial: one exponent row per monomial.
 
-    Zero coefficients are never stored; the zero polynomial has no terms.
+    Rows are distinct and sorted, and zero coefficients are never stored;
+    the zero polynomial has no rows.
     """
 
     __slots__ = ("dimension", "exponents", "coefficients")
 
     def __init__(self, dimension: int, coeffs: Mapping[tuple, float] | Iterable):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        cleaned: dict[tuple[int, ...], float] = {}
+        rows, values = [], []
         for exp, c in items:
             exp = tuple(int(e) for e in exp)
             if len(exp) != dimension:
@@ -72,14 +73,29 @@ class Polynomial:
                     f"exponent {exp} does not match dimension {dimension}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            c = float(c)
-            if c != 0.0:
-                cleaned[exp] = cleaned.get(exp, 0.0) + c
-        cleaned = {e: c for e, c in cleaned.items() if c != 0.0}
+            rows.append(exp)
+            values.append(float(c))
+        merged = Polynomial._from_arrays(dimension, np.array(rows, dtype=np.int64),
+                                         np.array(values, dtype=float))
         self.dimension = dimension
-        keys = sorted(cleaned)
-        self.exponents = np.array(keys, dtype=np.int64).reshape(len(keys), dimension)
-        self.coefficients = np.array([cleaned[k] for k in keys], dtype=float)
+        self.exponents, self.coefficients = merged.exponents, merged.coefficients
+
+    @classmethod
+    def _from_arrays(cls, dimension: int, exponents: np.ndarray,
+                     coefficients: np.ndarray) -> "Polynomial":
+        """Unchecked constructor for the rows that arithmetic produces: the
+        coefficients of equal rows are summed in row order, the rows are
+        sorted and zero sums are dropped."""
+        exponents = exponents.reshape(-1, dimension)
+        # row-major keys order the rows lexicographically
+        keys = np.ravel_multi_index(exponents.T, exponents.max(axis=0, initial=0) + 1)
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        sums = np.bincount(group, weights=coefficients, minlength=first.shape[0])
+        keep = sums != 0.0
+        poly = cls.__new__(cls)
+        poly.dimension = dimension
+        poly.exponents, poly.coefficients = exponents[first[keep]], sums[keep]
+        return poly
 
     @classmethod
     def constant(cls, dimension: int, value: float) -> "Polynomial":
@@ -101,67 +117,55 @@ class Polynomial:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         pts, single = _as_matrix(x, self.dimension)
-        if self.is_zero:
-            out = np.zeros(pts.shape[0])
-        else:
-            # x^0 and x^1 need no pow; higher powers keep the elementwise
-            # pow of an exponent array (a scalar 2 would square instead)
-            mono = np.ones((pts.shape[0], self.exponents.shape[0]))
-            for j, exp in enumerate(self.exponents):
-                for axis, e in enumerate(exp):
-                    if e == 1:
-                        mono[:, j] *= pts[:, axis]
-                    elif e > 1:
-                        mono[:, j] *= pts[:, axis] ** np.full(pts.shape[0], e)
-            out = mono @ self.coefficients
+        # the powers x_j^0 .. x_j^max of each axis, by multiplication
+        mono = np.ones((self.exponents.shape[0], pts.shape[0]))
+        for axis, column in enumerate(self.exponents.T):
+            table = np.empty((column.max(initial=0) + 1, pts.shape[0]))
+            table[0] = 1.0
+            for e in range(1, table.shape[0]):
+                np.multiply(table[e - 1], pts[:, axis], out=table[e])
+            mono *= table[column]
+        out = self.coefficients @ mono
         return out[0] if single else out
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        merged = dict(self.items())
-        for exp, c in other.items():
-            merged[exp] = merged.get(exp, 0.0) + c
-        return Polynomial(self.dimension, merged)
+        return Polynomial._from_arrays(
+            self.dimension, np.vstack([self.exponents, other.exponents]),
+            np.concatenate([self.coefficients, other.coefficients]))
 
     def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial(self.dimension, {e: c * factor for e, c in self.items()})
+        return Polynomial._from_arrays(self.dimension, self.exponents,
+                                       self.coefficients * factor)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[tuple[int, ...], float] = {}
-        for e1, c1 in self.items():
-            for e2, c2 in other.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return Polynomial(self.dimension, out)
+        exponents = self.exponents[:, None, :] + other.exponents[None, :, :]
+        return Polynomial._from_arrays(
+            self.dimension, exponents,
+            np.outer(self.coefficients, other.coefficients).ravel())
 
     def partial_derivative(self, axis: int) -> "Polynomial":
-        out: dict[tuple[int, ...], float] = {}
-        for exp, c in self.items():
-            if exp[axis] == 0:
-                continue
-            key = tuple(e - 1 if i == axis else e for i, e in enumerate(exp))
-            out[key] = out.get(key, 0.0) + c * exp[axis]
-        return Polynomial(self.dimension, out)
+        return self.directional_derivative(np.eye(self.dimension)[axis])
 
     def directional_derivative(self, xi: np.ndarray) -> "Polynomial":
+        """sum_j xi_j d_j q, its rows taken axis by axis."""
         xi = np.asarray(xi, dtype=float)
-        result = Polynomial(self.dimension, {})
-        for axis in range(self.dimension):
-            if xi[axis] != 0.0:
-                result = result + self.partial_derivative(axis).scaled(xi[axis])
-        return result
+        powers = self.exponents.T
+        shifted = self.exponents[None, :, :] - \
+            np.eye(self.dimension, dtype=np.int64)[:, None, :]
+        keep = (powers > 0) & (xi != 0.0)[:, None]
+        values = (self.coefficients * powers) * xi[:, None]
+        return Polynomial._from_arrays(self.dimension, shifted[keep],
+                                       values[keep])
 
     def compose_linear(self, matrix: np.ndarray) -> "Polynomial":
         """Return q(Mx) by expanding each coordinate substitution."""
         matrix = np.asarray(matrix, dtype=float)
         n = self.dimension
         # linear forms l_i(x) = sum_j M[i, j] x_j
-        linears = [
-            Polynomial(n, {tuple(int(k == j) for k in range(n)): matrix[i, j]
-                           for j in range(n)})
-            for i in range(n)
-        ]
+        linears = [Polynomial._from_arrays(n, np.eye(n, dtype=np.int64), row)
+                   for row in matrix]
         out = Polynomial(n, {})
-        for exp, c in self.items():
+        for exp, c in zip(self.exponents, self.coefficients):
             term = Polynomial.constant(n, c)
             for i, e in enumerate(exp):
                 for _ in range(e):
@@ -250,6 +254,18 @@ class GaussianTerm:
             raise ValueError(f"precision matrix must be {kind}; eigenvalues {eigs}")
 
 
+def _envelope_derivative(poly: Polynomial, term: GaussianTerm,
+                         xi: np.ndarray) -> Polynomial:
+    """Polynomial factor of d_xi [poly * exp(-Q/2)] over the term's
+    Gaussian exp(-Q/2): d_xi poly - (xi^T A (x - mu)) poly."""
+    n = poly.dimension
+    w = term.precision @ xi
+    linear = Polynomial._from_arrays(
+        n, np.vstack([np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)]),
+        np.concatenate([[-float(w @ term.mean)], w]))
+    return poly.directional_derivative(xi) + (poly * linear).scaled(-1.0)
+
+
 class AnalyticField:
     """Finite sum of Gaussian-polynomial terms on R^N."""
 
@@ -292,12 +308,7 @@ class AnalyticField:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         pts, single = _as_matrix(x, self.dimension)
-        out = np.zeros(pts.shape[0])
-        for t in self.terms:
-            d = pts - t.mean
-            quad = np.einsum("pi,ij,pj->p", d, t.precision, d)
-            vals = t.polynomial.evaluate(pts)
-            out += t.coefficient * vals * np.exp(-0.5 * quad)
+        out = self.partial_values(pts, 0)[0]
         return out[0] if single else out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -321,12 +332,10 @@ class AnalyticField:
             c = float(xi @ w)
             rows = []
             q = t.polynomial
-            k = 0
-            while not q.is_zero or k == 0:
+            for k in range(t.polynomial.degree + 1):
                 rows.append(q.evaluate(pts) / math.factorial(k))
                 q = q.directional_derivative(xi)
-                k += 1
-                if k > t.polynomial.degree + 1:
+                if q.is_zero:
                     break
             terms.append((-0.5 * a, b, 0.5 * c,
                           t.coefficient * np.vstack(rows)))
@@ -402,25 +411,36 @@ class AnalyticField:
 
     # -- calculus ----------------------------------------------------------
 
-    def partial_derivative(self, axis: int) -> "AnalyticField":
-        e = np.zeros(self.dimension)
-        e[axis] = 1.0
-        return self._directional_derivative_once(e)
+    def partial_values(self, points: np.ndarray, order: int) -> np.ndarray:
+        """Every partial derivative d^alpha f with |alpha| = order at the
+        points, one row per alpha of multi_indices(N, order), shape (K, P).
 
-    def _directional_derivative_once(self, xi: np.ndarray) -> "AnalyticField":
-        terms = []
+        d^alpha of a term c q exp(-Q/2) is c P_alpha exp(-Q/2) with
+        P_{alpha + e_j} = d_j P_alpha - (A (x - mu))_j P_alpha.  The P_alpha
+        are built one order at a time, each from one of the order below, and
+        each term's Gaussian is evaluated once for all of them.
+        """
+        if order < 0:
+            raise ValueError("derivative order must be >= 0")
+        pts, _ = _as_matrix(points, self.dimension)
+        n = self.dimension
+        axes = np.eye(n)
+        alphas = multi_indices(n, order)
+        out = np.zeros((len(alphas), pts.shape[0]))
         for t in self.terms:
-            w = t.precision @ xi
-            # d_xi [q e^{-Q/2}] = (d_xi q - q * xi^T A (x - mu)) e^{-Q/2}
-            linear = Polynomial(self.dimension, {
-                **{tuple(int(k == j) for k in range(self.dimension)): w[j]
-                   for j in range(self.dimension)},
-                (0,) * self.dimension: -float(w @ t.mean),
-            })
-            newpoly = t.polynomial.directional_derivative(xi) + \
-                (t.polynomial * linear).scaled(-1.0)
-            terms.append(GaussianTerm(t.coefficient, newpoly, t.mean, t.precision))
-        return AnalyticField(self.dimension, terms, flat_ok=self.flat_ok)
+            polys = {(0,) * n: t.polynomial}
+            for level in range(1, order + 1):
+                # differentiate along the last axis of alpha, so each P_alpha
+                # follows the axis order d_0 first, then d_1, ...
+                for alpha in multi_indices(n, level):
+                    axis = max(i for i, a in enumerate(alpha) if a)
+                    parent = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:]
+                    polys[alpha] = _envelope_derivative(polys[parent], t, axes[axis])
+            d = pts - t.mean
+            envelope = np.exp(-0.5 * np.einsum("pi,ij,pj->p", d, t.precision, d))
+            for row, alpha in zip(out, alphas):
+                row += t.coefficient * polys[alpha].evaluate(pts) * envelope
+        return out
 
     def directional_derivative(self, xi: np.ndarray, order: int = 1) -> "AnalyticField":
         """Exact d^order/dt^order f(x + t xi) at t = 0, as a new field."""
@@ -430,10 +450,13 @@ class AnalyticField:
         norm = np.linalg.norm(xi)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"direction must be a unit vector, |xi| = {norm!r}")
-        out = self
-        for _ in range(order):
-            out = out._directional_derivative_once(xi)
-        return out
+        terms = []
+        for t in self.terms:
+            poly = t.polynomial
+            for _ in range(order):
+                poly = _envelope_derivative(poly, t, xi)
+            terms.append(GaussianTerm(t.coefficient, poly, t.mean, t.precision))
+        return AnalyticField(self.dimension, terms, flat_ok=self.flat_ok)
 
     def affine_compose(self, matrix: np.ndarray) -> "AnalyticField":
         """Exact f(Mx): new precision M^T A M, mean M^{-1} mu, polynomial q(Mx)."""
@@ -475,16 +498,12 @@ class AnalyticField:
             mu1 = t.mean[axis] - float(v @ d_o) / a
             const = float(d_o @ A_oo @ d_o) - float(v @ d_o) ** 2 / a
             # polynomial: substitute each frozen coordinate value
-            poly1: dict[tuple[int], float] = {}
-            for exp, c in t.polynomial.items():
-                factor = c
-                for pos, i in enumerate(others):
-                    factor *= fixed[pos] ** exp[i]
-                key = (exp[axis],)
-                poly1[key] = poly1.get(key, 0.0) + factor
+            exps = t.polynomial.exponents
+            factors = t.polynomial.coefficients * \
+                np.prod(fixed ** exps[:, others], axis=1)
             terms.append(GaussianTerm(
                 t.coefficient * math.exp(-0.5 * const),
-                Polynomial(1, poly1),
+                Polynomial._from_arrays(1, exps[:, axis], factors),
                 np.array([mu1]),
                 np.array([[a]]),
             ))
@@ -561,18 +580,6 @@ def multinomial_coefficient(alpha: tuple[int, ...]) -> float:
     return float(c)
 
 
-def partial_derivative_fields(field: AnalyticField, order: int) -> dict[tuple[int, ...], AnalyticField]:
-    """All partial derivative fields d^alpha f for |alpha| = order."""
-    out: dict[tuple[int, ...], AnalyticField] = {}
-    for alpha in multi_indices(field.dimension, order):
-        g = field
-        for axis, reps in enumerate(alpha):
-            for _ in range(reps):
-                g = g.partial_derivative(axis)
-        out[alpha] = g
-    return out
-
-
 def directional_weight_matrix(directions: np.ndarray, alphas: list[tuple[int, ...]]) -> np.ndarray:
     """Rows of s!/alpha! * xi^alpha so that W @ [d^alpha f] = d^s_xi f."""
     W = np.empty((directions.shape[0], len(alphas)))
@@ -631,16 +638,6 @@ class GridField:
 
     def gradient_arrays(self) -> list[np.ndarray]:
         return list(np.gradient(self.values, *self.spacing))
-
-    def hessian_arrays(self) -> dict[tuple[int, int], np.ndarray]:
-        """Second central differences; only the upper triangle is stored."""
-        grads = self.gradient_arrays()
-        out: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(self.dimension):
-            gi = np.gradient(grads[i], *self.spacing)
-            for j in range(i, self.dimension):
-                out[(i, j)] = gi[j]
-        return out
 
     def compose_affine(self, matrix: np.ndarray) -> "GridField":
         """Resample f(Mx) on the same grid by interpolation."""

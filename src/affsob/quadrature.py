@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
@@ -30,6 +31,19 @@ _DENSITY = {2: 12.0, 3: 6.0}
 _DEFAULT_NODES = {1: 192, 2: 96, 3: 48}
 _DEFAULT_HALF_WIDTH = 8.0
 _MAX_NODES_PER_AXIS = 640
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_width(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            f"{name} must be a positive finite number, got {value!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,6 +268,14 @@ class RadialSpec:
     panels: int = 40
     panel_order: int = 8
 
+    def __post_init__(self):
+        _check_width("t_min", self.t_min)
+        _check_width("t_max", self.t_max)
+        if not self.t_min < self.t_max:
+            raise ValueError("t_min must be less than t_max, got "
+                             f"{self.t_min} and {self.t_max}")
+        _check_count("panels", self.panels, 1)
+
 
 class RadialQuadrature:
     """Composite Gauss-Legendre panels, log-spaced on [t_min, t_max]."""
@@ -338,10 +360,10 @@ class QuadratureBundle:
     radial_spec: RadialSpec = dataclass_field(default_factory=RadialSpec)
 
     def __post_init__(self):
+        _check_count("box_nodes", self.box_nodes, 1)
+        _check_width("box_half_width", self.box_half_width)
+        _check_count("sphere_resolution", self.sphere_resolution, 4)
         self.sphere = build_sphere_quadrature(self.dimension, self.sphere_resolution)
-        self._default_box = BoxQuadrature.cube(
-            self.dimension, half_width=self.box_half_width,
-            nodes_per_axis=self.box_nodes)
 
     @classmethod
     def default(cls, dimension: int, box_nodes: int | None = None,
@@ -350,15 +372,14 @@ class QuadratureBundle:
                 radial_spec: RadialSpec | None = None) -> "QuadratureBundle":
         return cls(
             dimension,
-            sphere_resolution or (64 if dimension == 2 else 24),
-            box_nodes or _DEFAULT_NODES[dimension],
-            box_half_width or _DEFAULT_HALF_WIDTH,
-            radial_spec or RadialSpec(),
+            (64 if dimension == 2 else 24) if sphere_resolution is None
+            else sphere_resolution,
+            _DEFAULT_NODES[dimension] if box_nodes is None else box_nodes,
+            _DEFAULT_HALF_WIDTH if box_half_width is None else box_half_width,
+            RadialSpec() if radial_spec is None else radial_spec,
         )
 
-    def box_for(self, field: AnalyticField | None = None) -> BoxQuadrature:
-        if field is None:
-            return self._default_box
+    def box_for(self, field: AnalyticField) -> BoxQuadrature:
         return BoxQuadrature.fitted(field, base_half_width=self.box_half_width,
                                     base_nodes=self.box_nodes)
 

@@ -25,7 +25,6 @@ from .fields import (
     SmoothnessParams,
     directional_weight_matrix,
     multi_indices,
-    partial_derivative_fields,
 )
 from .quadrature import (
     _SEPARATION_FACTOR,
@@ -118,40 +117,18 @@ def _integer_order(params: SmoothnessParams) -> int:
     return s
 
 
-def _warn_if_excluded(params: SmoothnessParams) -> None:
+def _warn_if_excluded(params: SmoothnessParams, stacklevel: int = 3) -> None:
+    """`stacklevel` is counted from here to the caller of the public
+    function that took params."""
     if params.excluded:
-        warnings.warn(_EXCLUDED_MESSAGE, RuntimeWarning, stacklevel=3)
-
-
-def _partial_value_matrix(field: AnalyticField, order: int,
-                          points: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    alphas = multi_indices(field.dimension, order)
-    derivs = partial_derivative_fields(field, order)
-    vals = np.stack([derivs[a].evaluate(points) for a in alphas])
-    return alphas, vals
-
-
-def _grid_partial_arrays(field: GridField, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    alphas = multi_indices(field.dimension, order)
-    if order == 1:
-        arrays = field.gradient_arrays()
-        stacked = np.stack([arrays[a.index(1)].ravel() for a in alphas])
-    elif order == 2:
-        upper = field.hessian_arrays()
-        rows = []
-        for a in alphas:
-            pair = tuple(i for i, reps in enumerate(a) for _ in range(reps))
-            rows.append(upper[(min(pair), max(pair))].ravel())
-        stacked = np.stack(rows)
-    else:
-        raise ValueError("grid fields support derivative orders 1 and 2 only")
-    return alphas, stacked
+        warnings.warn(_EXCLUDED_MESSAGE, RuntimeWarning, stacklevel=stacklevel)
 
 
 def _integer_energies(field, order: int, p: float, directions: np.ndarray,
+                      quads: QuadratureBundle,
                       box: BoxQuadrature | None) -> np.ndarray:
     """L^p energy of the order-th derivative along each direction."""
-    alphas, mat, weights = _derivative_samples(field, order, box)
+    alphas, mat, weights = _derivative_samples(field, order, quads, box)
     W = directional_weight_matrix(directions, alphas)
     n_pts = mat.shape[1]
     values = np.empty(W.shape[0])
@@ -180,29 +157,6 @@ def directional_profile(field, params: SmoothnessParams,
     """
     sphere = quads.sphere
     n = sphere.nodes.shape[0]
-
-    if not params.fractional:
-        if difference_order is not None:
-            raise ValueError("difference_order applies to the non-integer branch")
-        _warn_if_excluded(params)
-        order = _integer_order(params)
-        box = None if isinstance(field, GridField) else quads.box_for(field)
-
-        def energies(directions):
-            return (_integer_energies(field, order, params.p, directions, box),
-                    np.zeros(directions.shape[0]))
-    else:
-        if isinstance(field, GridField):
-            raise ValueError("difference-quotient branch needs an analytic field")
-        order = params.difference_order if difference_order is None \
-            else int(difference_order)
-        if order <= params.s:
-            raise ValueError("difference order must exceed s")
-
-        def energies(directions):
-            return _radial_energies(field, directions, params.s, params.p,
-                                    order, quads, None)
-
     # reversing the direction leaves both energies unchanged: the derivative
     # flips sign, and the difference L^p norm survives a translation by
     # order*h and a sign flip, so antipodes share their energy
@@ -210,7 +164,9 @@ def directional_profile(field, params: SmoothnessParams,
     targets = np.flatnonzero(antipode >= np.arange(n))
     values = np.empty(n)
     tails = np.empty(n)
-    values[targets], tails[targets] = energies(sphere.nodes[targets])
+    values[targets], tails[targets] = _direction_energies(
+        field, params, sphere.nodes[targets], quads,
+        difference_order=difference_order)
     values[antipode[targets]] = values[targets]
     tails[antipode[targets]] = tails[targets]
     return DirectionalEnergyProfile(params, sphere, values, tails)
@@ -255,41 +211,67 @@ def directional_energy(field, params: SmoothnessParams, xi: np.ndarray,
     xi = np.asarray(xi, dtype=float)
     if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
         raise ValueError("direction must be a unit vector")
-
-    if not params.fractional:
-        _warn_if_excluded(params)
-        order = _integer_order(params)
-        if box is None and not isinstance(field, GridField):
-            box = quads.box_for(field)
-        return float(_integer_energies(field, order, params.p, xi[None, :], box)[0])
-
-    values, _ = _radial_energies(field, xi[None, :], params.s, params.p,
-                                 params.difference_order, quads, box)
+    values, _ = _direction_energies(field, params, xi[None, :], quads, box=box)
     return float(values[0])
 
 
-def _derivative_samples(field, order: int, box: BoxQuadrature | None
-                        ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """All partial derivatives of one order, one row per multi-index, at
-    the box nodes (the grid points of a GridField), with their weights."""
+def _direction_energies(field, params: SmoothnessParams,
+                        directions: np.ndarray, quads: QuadratureBundle, *,
+                        difference_order: int | None = None,
+                        box: BoxQuadrature | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Energy and tail interval along each direction, on the derivative
+    branch at integer s and on the difference branch otherwise."""
+    if not params.fractional:
+        if difference_order is not None:
+            raise ValueError("difference_order applies to the non-integer branch")
+        _warn_if_excluded(params, stacklevel=4)
+        order = _integer_order(params)
+        return (_integer_energies(field, order, params.p, directions, quads,
+                                  box),
+                np.zeros(directions.shape[0]))
     if isinstance(field, GridField):
-        alphas, mat = _grid_partial_arrays(field, order)
-        return alphas, mat, np.full(mat.shape[1], field.cell_volume)
-    assert box is not None
-    alphas, mat = _partial_value_matrix(field, order, box.nodes)
-    return alphas, mat, box.weights
+        raise ValueError("difference-quotient branch needs an analytic field")
+    order = params.difference_order if difference_order is None \
+        else int(difference_order)
+    if order <= params.s:
+        raise ValueError("difference order must exceed s")
+    return _radial_energies(field, directions, params.s, params.p, order,
+                            quads, box)
 
 
-def _hessian_stack(alphas: list[tuple[int, ...]], mat: np.ndarray,
-                   dim: int) -> np.ndarray:
-    """Second order samples as one symmetric matrix per point."""
-    hess = np.empty((mat.shape[1], dim, dim))
+def _derivative_samples(field, order: int, quads: QuadratureBundle,
+                        box: BoxQuadrature | None = None
+                        ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """All order-k partials, one row per multi-index, at the nodes of `box`
+    (default: the bundle's box for the field) with their weights; a
+    GridField's are central differences, axis 0 first, at its grid points."""
+    alphas = multi_indices(field.dimension, order)
+    if not isinstance(field, GridField):
+        box = quads.box_for(field) if box is None else box
+        return alphas, field.partial_values(box.nodes, order), box.weights
+    if order > 2:
+        raise ValueError("grid fields support derivative orders 1 and 2 only")
+    rows = []
+    for alpha in alphas:
+        g = field.values
+        for axis, reps in enumerate(alpha):
+            for _ in range(reps):
+                g = np.gradient(g, field.spacing[axis], axis=axis)
+        rows.append(g.ravel())
+    return alphas, np.stack(rows), np.full(field.values.size, field.cell_volume)
+
+
+def _derivative_tensor(alphas: list[tuple[int, ...]], mat: np.ndarray,
+                       dim: int) -> np.ndarray:
+    """Order-1 or order-2 samples as one gradient or one symmetric Hessian
+    per point."""
+    tensor = np.empty((mat.shape[1],) + (dim,) * sum(alphas[0]))
     for a, row in zip(alphas, mat):
-        pair = tuple(i for i, reps in enumerate(a) for _ in range(reps))
-        i, j = min(pair), max(pair)
-        hess[:, i, j] = row
-        hess[:, j, i] = row
-    return hess
+        index = tuple(i for i, reps in enumerate(a) for _ in range(reps))
+        tensor[(slice(None),) + index] = row
+        tensor[(slice(None),) + index[::-1]] = row
+    return tensor
 
 
 def _contracted_partials(alphas: list[tuple[int, ...]], mat: np.ndarray,
@@ -453,15 +435,12 @@ def _sample_objective(field, params: SmoothnessParams,
             sphere.nodes, sphere.weights * profile.values,
             -(n + params.s * params.p), params.p, inverse=True)
     order = _integer_order(params)
-    box = None if isinstance(field, GridField) else quads.box_for(field)
-    alphas, mat, weights = _derivative_samples(field, order, box)
+    alphas, mat, weights = _derivative_samples(field, order, quads)
     if order == 1:
-        grads = np.empty((mat.shape[1], n))
-        for a, row in zip(alphas, mat):
-            grads[:, a.index(1)] = row
-        return _norm_power_objective(grads, weights, params.p, params.p)
+        return _norm_power_objective(_derivative_tensor(alphas, mat, n),
+                                     weights, params.p, params.p)
     if order == 2:
-        return _hessian_objective(_hessian_stack(alphas, mat, n), weights,
+        return _hessian_objective(_derivative_tensor(alphas, mat, n), weights,
                                   params.p)
     # the scan has about four times the sphere's nodes; a 3-D rule with
     # resolution r has 2 r^2 of them
@@ -523,11 +502,8 @@ def _one_d_seminorm_power(field: AnalyticField, params: SmoothnessParams,
                                        far_constant=far_constant)
         return 2.0 * value
     pts, wts = gauss_legendre_nodes(half_width, nodes)
-    order = _integer_order(params)
-    g = field
-    for _ in range(order):
-        g = g.partial_derivative(0)
-    return float(np.abs(g.evaluate(pts[:, None])) ** params.p @ wts)
+    values = field.partial_values(pts[:, None], _integer_order(params))[0]
+    return float(np.abs(values) ** params.p @ wts)
 
 
 def slice_seminorm_crosscheck(field: AnalyticField, params: SmoothnessParams,

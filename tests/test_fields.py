@@ -11,6 +11,7 @@ from affsob import (AnalyticField, DimensionMismatchError, GridField,
                     SingularTransformError, SmoothnessParams)
 from affsob.fields import (Polynomial, multi_indices,
                            multinomial_coefficient)
+from test_sweep import _random_field
 
 
 def test_polynomial_evaluates_termwise():
@@ -226,3 +227,140 @@ def test_grid_field_shape_validation():
         GridField(np.zeros(3), np.ones(2), np.zeros((4, 4)), 1.0)
     with pytest.raises(DimensionMismatchError):
         GridField(np.zeros(2), np.ones(3), np.zeros((4, 4)), 1.0)
+
+
+def _chained_partials(field, order, points):
+    """Reference for the partials: d^alpha f through one directional
+    derivative field per axis step of alpha, evaluated at the points."""
+    axes = np.eye(field.dimension)
+    rows = []
+    for alpha in multi_indices(field.dimension, order):
+        g = field
+        for axis, reps in enumerate(alpha):
+            for _ in range(reps):
+                g = g.directional_derivative(axes[axis])
+        rows.append(g(points))
+    return np.array(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dimension=st.sampled_from([1, 2, 3]),
+       n_terms=st.integers(1, 3),
+       degree=st.integers(0, 3),
+       order=st.integers(1, 4))
+def test_partial_values_match_chained_directional_derivatives(
+        seed, dimension, n_terms, degree, order):
+    rng = np.random.default_rng(seed)
+    field = _random_field(rng, dimension, n_terms, degree)
+    points = rng.uniform(-3.0, 3.0, (40, dimension))
+    got = field.partial_values(points, order)
+    want = _chained_partials(field, order, points)
+    assert got.shape == (len(multi_indices(dimension, order)), 40)
+    np.testing.assert_allclose(got, want, rtol=0.0,
+                               atol=1e-12 * np.abs(want).max())
+
+
+# dict reference of the polynomial arithmetic: exponent tuple -> coefficient
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0.0) + c
+    return out
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return out
+
+
+def _ref_directional(a, xi):
+    out = {}
+    for e, c in a.items():
+        for axis, power in enumerate(e):
+            if power:
+                key = e[:axis] + (power - 1,) + e[axis + 1:]
+                out[key] = out.get(key, 0.0) + c * power * xi[axis]
+    return out
+
+
+def _ref_compose(a, matrix):
+    n = matrix.shape[0]
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * n: c}
+        for i, power in enumerate(e):
+            linear = {tuple(int(k == j) for k in range(n)): matrix[i, j]
+                      for j in range(n)}
+            for _ in range(power):
+                term = _ref_mul(term, linear)
+        out = _ref_add(out, term)
+    return out
+
+
+def _assert_matches(poly, ref):
+    got = dict(poly.items())
+    scale = max([abs(c) for c in ref.values()] + [1.0])
+    ref = {e: c for e, c in ref.items() if abs(c) > 1e-13 * scale}
+    assert set(got) >= set(ref)
+    for e, c in got.items():
+        assert c == pytest.approx(ref.get(e, 0.0), rel=1e-12,
+                                  abs=1e-13 * scale)
+    assert list(got) == sorted(got)
+
+
+def _random_coeffs(rng, dimension, count):
+    return {tuple(int(x) for x in rng.integers(0, 4, dimension)):
+            float(rng.choice([0.0, rng.uniform(-2.0, 2.0)], p=[0.2, 0.8]))
+            for _ in range(count)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dimension=st.sampled_from([1, 2, 3]),
+       sizes=st.tuples(st.integers(0, 6), st.integers(0, 6)))
+def test_polynomial_array_ops_match_dict_reference(seed, dimension, sizes):
+    rng = np.random.default_rng(seed)
+    a = _random_coeffs(rng, dimension, sizes[0])
+    b = _random_coeffs(rng, dimension, sizes[1])
+    p, q = Polynomial(dimension, a), Polynomial(dimension, b)
+    xi = rng.standard_normal(dimension)
+    matrix = rng.standard_normal((dimension, dimension))
+    axis = int(rng.integers(dimension))
+    _assert_matches(p, a)
+    _assert_matches(p + q, _ref_add(a, b))
+    _assert_matches(p * q, _ref_mul(a, b))
+    _assert_matches(p.partial_derivative(axis),
+                    _ref_directional(a, np.eye(dimension)[axis]))
+    _assert_matches(p.directional_derivative(xi), _ref_directional(a, xi))
+    _assert_matches(p.compose_linear(matrix), _ref_compose(a, matrix))
+    x = rng.uniform(-2.0, 2.0, (7, dimension))
+    want = sum(c * np.prod(x ** np.array(e), axis=1) for e, c in a.items())
+    np.testing.assert_allclose(p.evaluate(x), want + np.zeros(7),
+                               rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dimension=st.sampled_from([2, 3]),
+       n_terms=st.integers(1, 3),
+       degree=st.integers(0, 3))
+def test_restrict_matches_pointwise_evaluation(seed, dimension, n_terms,
+                                               degree):
+    rng = np.random.default_rng(seed)
+    field = _random_field(rng, dimension, n_terms, degree)
+    axis = int(rng.integers(dimension))
+    fixed = rng.uniform(-1.5, 1.5, dimension - 1)
+    ts = np.linspace(-3.0, 3.0, 13)
+    points = np.empty((ts.shape[0], dimension))
+    points[:, axis] = ts
+    points[:, [i for i in range(dimension) if i != axis]] = fixed
+    want = field(points)
+    got = field.restrict(axis=axis, fixed=fixed)(ts[:, None])
+    np.testing.assert_allclose(got, want, rtol=0.0,
+                               atol=1e-12 * np.abs(want).max())

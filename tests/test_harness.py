@@ -234,6 +234,22 @@ def test_cli_missing_config_is_a_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("quadrature", [
+    {"box_nodes": 0}, {"box_nodes": -5}, {"box_nodes": 24.5},
+    {"t_panels": -4}, {"sphere_nodes": 2}, {"box_halfwidth": -3},
+    {"t_min": 10, "t_max": 1}, {"t_min": 0}, {"t_max": float("inf")},
+])
+def test_cli_bad_quadrature_value_is_a_config_error(tmp_path, capsys,
+                                                    quadrature):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"field": "radial",
+                                  "quadrature": quadrature}),
+                      encoding="utf-8")
+    rc = cli_main(["energy", "--config", str(config)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_optimize_on_a_coarse_fractional_bundle(tmp_path, capsys):
     # descent runs on one profile of aniso, so no trial composes a field
     # and even this coarse bundle finds the closed-form minimizer

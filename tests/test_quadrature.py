@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 
 from affsob import (AnalyticField, BoxQuadrature, QuadratureBundle,
-                    RadialQuadrature, SphereQuadrature,
+                    RadialQuadrature, RadialSpec, SphereQuadrature,
                     build_sphere_quadrature, pushforward_weight)
 from affsob.quadrature import (_leggauss, directional_box,
                                gauss_legendre_nodes, integrate_box,
@@ -184,6 +184,22 @@ def test_bundle_default_and_scaling():
     assert floor.sphere_resolution >= 4
     assert floor.box_nodes >= 8
     assert floor.radial_spec.panels >= 4
+
+
+@pytest.mark.parametrize("settings", [
+    {"box_nodes": 0}, {"box_nodes": 24.0}, {"box_nodes": True},
+    {"sphere_resolution": 3}, {"box_half_width": -3.0},
+    {"box_half_width": float("nan")},
+    {"radial_spec": {"t_min": 10.0, "t_max": 1.0}},
+    {"radial_spec": {"t_min": 0.0}}, {"radial_spec": {"t_max": math.inf}},
+    {"radial_spec": {"panels": -4}},
+])
+def test_bundle_rejects_out_of_range_settings(settings):
+    with pytest.raises(ValueError):
+        if "radial_spec" in settings:
+            RadialSpec(**settings["radial_spec"])
+        else:
+            QuadratureBundle.default(2, **settings)
 
 
 def test_bundle_box_matches_field_support():

@@ -191,6 +191,14 @@ def test_flat_direction_degenerates_the_profile(bundle2):
     assert tilted_profile.flat_direction
 
 
+def test_difference_branch_rejects_grid_fields(bundle2):
+    grid = weak_grid_field(16)
+    with pytest.raises(ValueError, match="analytic field"):
+        directional_energy(grid, SmoothnessParams(0.5, 2.0),
+                           np.array([1.0, 0.0, 0.0]),
+                           QuadratureBundle.default(3))
+
+
 def test_zero_field_has_zero_seminorm(bundle2):
     zero = AnalyticField.gaussian(2, coefficient=0.0)
     assert seminorm(zero, SmoothnessParams(1.0, 2.0), bundle2) == 0.0
