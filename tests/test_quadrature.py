@@ -190,16 +190,19 @@ def test_bundle_default_and_scaling():
     {"box_nodes": 0}, {"box_nodes": 24.0}, {"box_nodes": True},
     {"sphere_resolution": 3}, {"box_half_width": -3.0},
     {"box_half_width": float("nan")},
-    {"radial_spec": {"t_min": 10.0, "t_max": 1.0}},
-    {"radial_spec": {"t_min": 0.0}}, {"radial_spec": {"t_max": math.inf}},
-    {"radial_spec": {"panels": -4}},
 ])
 def test_bundle_rejects_out_of_range_settings(settings):
     with pytest.raises(ValueError):
-        if "radial_spec" in settings:
-            RadialSpec(**settings["radial_spec"])
-        else:
-            QuadratureBundle.default(2, **settings)
+        QuadratureBundle.default(2, **settings)
+
+
+@pytest.mark.parametrize("settings", [
+    {"t_min": 10.0, "t_max": 1.0}, {"t_min": 0.0}, {"t_max": math.inf},
+    {"panels": -4},
+])
+def test_radial_spec_rejects_out_of_range_settings(settings):
+    with pytest.raises(ValueError):
+        RadialSpec(**settings)
 
 
 def test_bundle_box_matches_field_support():

@@ -191,7 +191,7 @@ def test_flat_direction_degenerates_the_profile(bundle2):
     assert tilted_profile.flat_direction
 
 
-def test_difference_branch_rejects_grid_fields(bundle2):
+def test_difference_branch_rejects_grid_fields():
     grid = weak_grid_field(16)
     with pytest.raises(ValueError, match="analytic field"):
         directional_energy(grid, SmoothnessParams(0.5, 2.0),
