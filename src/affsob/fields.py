@@ -174,29 +174,50 @@ class Polynomial:
         return out
 
 
-# (step, node) pairs per block of the fused difference sweep: every
-# work array of a block holds about this many doubles and stays in cache
+# (step, node) pairs per block of the fused difference sweep: the block's
+# |Delta|^p array holds about this many doubles and stays in cache
 _SWEEP_BLOCK = 65536
 
 
-def _sum_lines(terms: list[tuple], taus: np.ndarray, out: np.ndarray,
-               expo: np.ndarray, poly: np.ndarray) -> None:
-    """out[k, j] = sum of the terms' values at x_j + taus[k] xi.
+def _line_buffers(terms: list[tuple], shape: tuple[int, int]
+                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Work arrays (expo, vals, poly) for _sum_lines, None where unneeded:
+    a lone term without a polynomial factor needs no vals, and poly serves
+    only a term after the first that has one."""
+    factors = [rows.shape[0] > 1 for *_, rows in terms]
+    vals = np.empty(shape) if len(terms) > 1 or any(factors) else None
+    poly = np.empty(shape) if any(factors[1:]) else None
+    return np.empty(shape), vals, poly
 
-    `terms` comes from AnalyticField._line_terms; expo and poly are work
-    arrays of out's shape.
+
+def _sum_lines(terms: list[tuple], taus: np.ndarray,
+               buffers: tuple) -> np.ndarray:
+    """Array of [k, j] = sum of the terms' values at x_j + taus[k] xi.
+
+    `terms` comes from AnalyticField._line_terms and `buffers` from
+    _line_buffers, with at least len(taus) rows; the result is the leading
+    rows of one of them, overwritten by the next call.  Every value is
+    computed elementwise, so it does not depend on how the steps are split
+    into pieces.
     """
+    expo, vals, poly = (buf if buf is None else buf[:taus.shape[0]]
+                        for buf in buffers)
+    if not terms:
+        expo.fill(0.0)
+        return expo
     for i, (neg_half_a, b, half_c, rows) in enumerate(terms):
         np.multiply(taus[:, None], b, out=expo)
         np.subtract(neg_half_a, expo, out=expo)
         expo -= (half_c * taus ** 2)[:, None]
         np.exp(expo, out=expo)
-        target = out if i == 0 else poly
         if rows.shape[0] == 1:
+            # a term without a polynomial factor scales its exp in place,
+            # unless it is the first of several and starts the sum in vals
+            target = vals if i == 0 and len(terms) > 1 else expo
             np.multiply(expo, rows[0], out=target)
         else:
-            # Horner's rule in tau for the polynomial factor; elementwise,
-            # so a value does not depend on how the steps are blocked
+            # Horner's rule in tau for the polynomial factor
+            target = vals if i == 0 else poly
             np.multiply(taus[:, None], rows[-1], out=target)
             for row in rows[-2:0:-1]:
                 target += row
@@ -204,9 +225,8 @@ def _sum_lines(terms: list[tuple], taus: np.ndarray, out: np.ndarray,
             target += rows[0]
             target *= expo
         if i > 0:
-            out += poly
-    if not terms:
-        out.fill(0.0)
+            vals += target
+    return vals if len(terms) > 1 else target
 
 
 def _abs_power(x: np.ndarray, p: float, work: np.ndarray) -> None:
@@ -356,12 +376,10 @@ class AnalyticField:
         P, K = pts.shape[0], taus.shape[0]
         out = np.empty((K, P))
         block = max(1, min(K, int(max_block // max(P, 1)) or 1))
-        expo = np.empty((block, P))
-        poly = np.empty((block, P))
+        buffers = _line_buffers(terms, (block, P))
         for lo in range(0, K, block):
             ts = taus[lo:lo + block]
-            n = ts.shape[0]
-            _sum_lines(terms, ts, out[lo:lo + n], expo[:n], poly[:n])
+            out[lo:lo + ts.shape[0]] = _sum_lines(terms, ts, buffers)
         return out
 
     def difference_lp_samples(self, xi: np.ndarray, ts: np.ndarray, order: int,
@@ -374,11 +392,21 @@ class AnalyticField:
         unchanged while halving the sweep excursion the box must cover.
 
         One cache-blocked pass: the step sizes are taken in blocks of about
-        _SWEEP_BLOCK (step, node) pairs, and each block evaluates the
-        order+1 shifted lines, forms the difference, raises it to the p-th
-        power and reduces it against the weights in preallocated buffers,
-        so no (order+1)*K by P matrix of line values is ever built.
-        Raises NumericalFailureError if a difference value is not finite.
+        _SWEEP_BLOCK (step, node) pairs, and each block's |Delta|^p is
+        reduced against the weights by one matrix product.  That array is
+        the only block-sized one: its rows are filled in two half-block
+        pieces, each evaluating the order+1 shifted lines in half-block
+        work arrays, forming the difference and raising it to the p-th
+        power in place.  The row count of a block decides how the product
+        groups its sums, so it is kept at _SWEEP_BLOCK // P.  At even order
+        the middle shift has offset 0, so its line is f on the nodes at
+        every t; it is evaluated once, with the same per-element operations
+        as at tau = 0, and added to every piece.
+
+        The weights are positive, so a non-finite difference value gives a
+        non-finite reduced row, and then NumericalFailureError is raised.
+        Memory: one block of |Delta|^p and at most three half-block work
+        arrays; no (order+1)*K by P matrix of line values is built.
         """
         pts, _ = _as_matrix(nodes, self.dimension)
         terms = self._line_terms(pts, np.asarray(xi, dtype=float))
@@ -388,25 +416,34 @@ class AnalyticField:
                   for l in range(order + 1)]
         K, P = ts.shape[0], pts.shape[0]
         block = max(1, min(K, _SWEEP_BLOCK // max(P, 1)))
-        buffers = np.empty((4, block, P))
-        finite = np.empty((block, P), dtype=bool)
+        piece = (block + 1) // 2
+        buffers = _line_buffers(terms, (piece, P))
+        middle = order // 2 if order >= 2 and order % 2 == 0 else None
+        if middle is not None:
+            middle_line = shifts[middle][1] * _sum_lines(
+                terms, np.zeros(1), _line_buffers(terms, (1, P)))
+        delta = np.empty((block, P))
         out = np.empty(K)
         for lo in range(0, K, block):
-            steps = ts[lo:lo + block]
-            n = steps.shape[0]
-            vals, delta, expo, poly = (buf[:n] for buf in buffers)
-            for l, (offset, coeff) in enumerate(shifts):
-                _sum_lines(terms, offset * steps, vals, expo, poly)
-                if l == 0:
-                    np.multiply(vals, coeff, out=delta)
-                else:
-                    if coeff != 1.0:
-                        vals *= coeff
-                    delta += vals
-            if not np.isfinite(delta, out=finite[:n]).all():
+            n = min(block, K - lo)
+            for start in range(0, n, piece):
+                steps = ts[lo + start:lo + min(start + piece, n)]
+                rows = delta[start:start + steps.shape[0]]
+                for l, (offset, coeff) in enumerate(shifts):
+                    if l == middle:
+                        rows += middle_line
+                        continue
+                    vals = _sum_lines(terms, offset * steps, buffers)
+                    if l == 0:
+                        np.multiply(vals, coeff, out=rows)
+                    else:
+                        if coeff != 1.0:
+                            vals *= coeff
+                        rows += vals
+                _abs_power(rows, p, buffers[0][:steps.shape[0]])
+            reduced = np.matmul(delta[:n], weights, out=out[lo:lo + n])
+            if not np.isfinite(reduced).all():
                 raise NumericalFailureError("non-finite difference values")
-            _abs_power(delta, p, expo)
-            np.matmul(delta, weights, out=out[lo:lo + n])
         return out
 
     # -- calculus ----------------------------------------------------------

@@ -10,8 +10,11 @@ is what the affine energies aggregate, so it is computed once and reused.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +175,21 @@ def directional_profile(field, params: SmoothnessParams,
     return DirectionalEnergyProfile(params, sphere, values, tails)
 
 
+def _thread_count() -> int:
+    """Worker threads for the verification suites and for the directions of
+    one swept profile: AFFSOB_THREADS when it is a positive integer, else
+    min(4, CPU count)."""
+    raw = os.environ.get("AFFSOB_THREADS")
+    if raw:
+        try:
+            n = int(raw)
+        except ValueError:
+            n = 0
+        if n >= 1:
+            return n
+    return min(4, os.cpu_count() or 1)
+
+
 def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
                      p: float, order: int, quads: QuadratureBundle,
                      box: BoxQuadrature | None) -> tuple[np.ndarray, np.ndarray]:
@@ -194,13 +212,30 @@ def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
     far_constant = _separated_lobes_constant(order, p) * fpp
     values = np.empty(directions.shape[0])
     tails = np.empty(directions.shape[0])
-    for j, xi in enumerate(directions):
-        dbox, t_sep = quads.directional_box_for(field, xi, order)
-        rq = quads.radial_range(t_sep)
-        samples = field.difference_lp_samples(
-            xi, rq.nodes, order, p, dbox.nodes, dbox.weights)
-        values[j], tails[j] = radial_from_samples(
-            samples, s, p, order, rq, far_constant=far_constant)
+
+    def sweep(share: range) -> None:
+        for j in share:
+            dbox, t_sep = quads.directional_box_for(field, directions[j], order)
+            rq = quads.radial_range(t_sep)
+            samples = field.difference_lp_samples(
+                directions[j], rq.nodes, order, p, dbox.nodes, dbox.weights)
+            values[j], tails[j] = radial_from_samples(
+                samples, s, p, order, rq, far_constant=far_constant)
+
+    # the directions are independent: W threads take the interleaved shares
+    # j = k, k + W, ..., the caller share 0, and each result lands at its
+    # own index, so the profile does not depend on W.  A helper runs in a
+    # copy of the caller's context, which carries numpy's error state.
+    workers = max(1, min(_thread_count(), directions.shape[0]))
+    shares = [range(k, directions.shape[0], workers) for k in range(workers)]
+    # the pool starts no thread until a share is submitted, so W = 1 runs
+    # the caller's share alone
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        helpers = [pool.submit(contextvars.copy_context().run, sweep, share)
+                   for share in shares[1:]]
+        sweep(shares[0])
+        for helper in helpers:
+            helper.result()
     return values, tails
 
 

@@ -8,14 +8,15 @@ finite, stable across the frozen family, and must drift by at most the
 tolerance when every quadrature resolution is doubled.
 
 Checks inside a suite are independent and run on a thread pool sized by the
-AFFSOB_THREADS environment variable.  Each check derives its randomness from
-the suite seed alone, so reports are identical across thread counts.
+AFFSOB_THREADS environment variable (seminorms._thread_count, which also
+sizes the direction fan-out of a swept profile).  Each check derives its
+randomness from the suite seed alone, so reports are identical across
+thread counts.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 import warnings
@@ -32,8 +33,9 @@ from .fields import SmoothnessParams
 from .quadrature import (QuadratureBundle, RadialSpec, build_sphere_quadrature,
                          pushforward_weight)
 from .reporting import CheckResult, VerificationReport
-from .seminorms import (directional_energy, directional_profile, lp_norm,
-                        seminorm, slice_seminorm_crosscheck, slicing_bounds,
+from .seminorms import (_thread_count, directional_energy,
+                        directional_profile, lp_norm, seminorm,
+                        slice_seminorm_crosscheck, slicing_bounds,
                         starred_seminorm)
 from .sl_opt import (OptimizerOptions, descent_step,
                      directional_lower_bound_check, minimize, objective,
@@ -106,18 +108,6 @@ class _ProfileCache:
         value = compute()
         with self._lock:
             return self._data.setdefault(key, value)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("AFFSOB_THREADS")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 0
-        if n >= 1:
-            return n
-    return min(4, os.cpu_count() or 1)
 
 
 def _run_job(job):

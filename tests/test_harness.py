@@ -14,7 +14,8 @@ from affsob import (CheckResult, CheckSpec, ConfigError, VerificationReport,
                     cli_main, config_from_dict, parse_config, write_plot_csv)
 from affsob.config import (validate_balance, validate_not_excluded,
                            validate_subcritical)
-from affsob.suites import _thread_count, run_suite, suite_names
+from affsob.seminorms import _thread_count
+from affsob.suites import run_suite, suite_names
 
 
 def test_parse_config_file_errors(tmp_path):

@@ -58,6 +58,13 @@ def _random_field(rng, dimension, n_terms, degree):
        points=st.sampled_from([3001, 700]))
 @example(seed=5, dimension=2, n_terms=2, degree=1, order=2, p=3.0,
          points=_SWEEP_BLOCK + 4000)
+# 1200 nodes give 54-row blocks of two 27-row pieces and a 28-row partial
+# block, so the middle line of the even orders meets a block edge and a
+# piece edge inside the partial block
+@example(seed=17, dimension=2, n_terms=3, degree=3, order=2, p=3.0,
+         points=1200)
+@example(seed=29, dimension=3, n_terms=3, degree=3, order=4, p=1.5,
+         points=1200)
 def test_fused_sweep_matches_two_step_reference(seed, dimension, n_terms,
                                                 degree, order, p, points):
     rng = np.random.default_rng(seed)
