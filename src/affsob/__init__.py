@@ -26,9 +26,9 @@ from .seminorms import (DirectionalEnergyProfile, directional_energy,
                         slicing_bounds, starred_seminorm, weak_quasinorm)
 from .sl_opt import (DirectionalBoundReport, OptimizerOptions, OptimizerTrace,
                      UnimodularTransform, critical_residuals, descent_step,
-                     directional_lower_bound_check, exact_gradient_s1,
-                     matrix_exp, minimize, numeric_gradient, objective,
-                     polar_align, random_unimodular, sl_basis)
+                     directional_lower_bound_check, matrix_exp, minimize,
+                     numeric_gradient, objective, polar_align,
+                     random_unimodular, sl_basis)
 from .suites import (CheckSpec, run_suite, suite_core_identities,
                      suite_inequalities, suite_no_improvement,
                      suite_optimizer)

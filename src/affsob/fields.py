@@ -672,20 +672,3 @@ class GridField:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluate(x)
-
-    def gradient_arrays(self) -> list[np.ndarray]:
-        return list(np.gradient(self.values, *self.spacing))
-
-    def compose_affine(self, matrix: np.ndarray) -> "GridField":
-        """Resample f(Mx) on the same grid by interpolation."""
-        matrix = np.asarray(matrix, dtype=float)
-        det = np.linalg.det(matrix)
-        if abs(det) < 1e-12:
-            raise SingularTransformError(f"matrix is singular, det = {det!r}")
-        axes = [self.origin[k] + self.spacing[k] * np.arange(self.values.shape[k])
-                for k in range(self.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = self.evaluate(pts @ matrix.T)
-        return GridField(self.origin, self.spacing,
-                         vals.reshape(self.values.shape), self.support_radius)

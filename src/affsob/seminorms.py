@@ -43,6 +43,11 @@ from .quadrature import (
 # a direction is treated as energetically dead below this fraction of the peak
 _FLAT_RATIO = 1e-12
 
+# the fractional objective trusts T where the sphere rule integrates the
+# Jacobian |T^{-1} eta|^{-N} (exactly the area at det T = 1) to this relative
+# accuracy: an estimate of how it resolves |T^{-1} eta|^{-(N+sp)}, not a bound
+_PUSHFORWARD_TOL = 1e-3
+
 _EXCLUDED_MESSAGE = (
     "derivative order >= 2 with p = 1 sits outside the two-sided comparison "
     "range; the energy is still computed"
@@ -334,7 +339,8 @@ class _SampleObjective:
     is sum_i w_i e_i and whose pairing <S, M> is the derivative of that
     sum along T exp(eps M), divided by p * rate.  Every branch therefore
     has the same exact gradient: rate * power^(1/p - 1) times the
-    trace-free part of S.
+    trace-free part of S.  `trusted(T)` is false where the samples do not
+    resolve f o T, and `value` is then not an estimate of |f o T|.
     """
 
     def __init__(self, energies, factors, weights: np.ndarray, p: float,
@@ -343,6 +349,7 @@ class _SampleObjective:
         self.weights = weights
         self.p, self.rate = float(p), float(rate)
         self.dimension = dimension
+        self.trusted = lambda matrix: True
 
     def value(self, matrix: np.ndarray) -> float:
         return float(self.weights @ self.energies(matrix)) ** (1.0 / self.p)
@@ -466,9 +473,17 @@ def _sample_objective(field, params: SmoothnessParams,
         if profile is None:
             profile = directional_profile(field, params, quads)
         sphere = profile.sphere
-        return _norm_power_objective(
+
+        def resolved(matrix):
+            pulled = sphere.nodes @ np.linalg.inv(matrix).T
+            jacobian = sphere.weights @ np.linalg.norm(pulled, axis=1) ** -n
+            return abs(jacobian / sphere.area - 1.0) <= _PUSHFORWARD_TOL
+
+        ctx = _norm_power_objective(
             sphere.nodes, sphere.weights * profile.values,
             -(n + params.s * params.p), params.p, inverse=True)
+        ctx.trusted = resolved
+        return ctx
     order = _integer_order(params)
     alphas, mat, weights = _derivative_samples(field, order, quads)
     if order == 1:
@@ -489,7 +504,8 @@ def seminorm(field, params: SmoothnessParams, quads: QuadratureBundle, *,
              profile: DirectionalEnergyProfile | None = None) -> float:
     """The homogeneous semi-norm |f|_{s,p} (difference or derivative branch).
 
-    On the derivative branch it is the optimizer's objective at T = I.
+    `profile` serves only the difference branch.  The derivative branch
+    ignores it: there the semi-norm is the optimizer's objective at T = I.
     """
     if params.fractional:
         if profile is None:

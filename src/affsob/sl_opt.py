@@ -7,8 +7,8 @@ manifold retraction T -> T exp(-eta B) with B trace free, exact gradients,
 critical-point residuals, and the stretch-one-direction step whose strict
 descent certifies that a direction was too weak.
 
-The descent never composes a field.  With det T = 1, changes of variables
-let samples of f taken once at T = I serve every T (see
+Nothing here composes a field.  With det T = 1, changes of variables let
+samples of f taken once at T = I serve every T (see
 seminorms._sample_objective):
 
 - s = 1: the integral of |T^t grad f(Tx)|^p equals that of |T^t grad f|^p
@@ -22,10 +22,11 @@ Each branch is one fixed-sample objective with an exact gradient: a moment
 at s = 1 and at fractional s, eigenvalue perturbation of the top Hessian
 eigenvalue at order 2, and Danskin's theorem at the maximising scan
 direction at order >= 3.  Fixed samples keep the discrete objective
-continuous in T, which the Armijo search needs near convergence.
-numeric_gradient (central differences) is kept as an independent check of
-those gradients.  The public objective() sticks to the literal composition
-path and is used for the reported values.
+continuous in T, which the Armijo search needs near convergence.  The same
+objective gives objective(), the value minimize reports and the
+certificates; numeric_gradient checks its gradients.  At fractional s the
+sphere rule resolves |T^{-1} eta|^{-(N+sp)} only for moderately conditioned
+T: the descent rejects trials beyond that, and the public functions raise.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .fields import AnalyticField, NumericalFailureError, SmoothnessParams
 from .quadrature import QuadratureBundle
-from .seminorms import _sample_objective, directional_profile, seminorm
+from .seminorms import _sample_objective, directional_profile
 
 _DET_TOL = 1e-9
 
@@ -166,19 +167,19 @@ def polar_align(T) -> np.ndarray:
     return (u * s) @ u.T
 
 
+def _resolved_value(ctx, matrix: np.ndarray) -> float:
+    if not ctx.trusted(matrix):
+        raise NumericalFailureError("the sphere quadrature does not resolve "
+                                    "f o T at this transform")
+    return ctx.value(matrix)
+
+
 def objective(field, T, params: SmoothnessParams, quads: QuadratureBundle) -> float:
-    """Energy of the exact composition f(Tx)."""
-    m = _as_matrix(T)
-    return seminorm(field.affine_compose(m), params, quads)
-
-
-def exact_gradient_s1(field, T, p: float, quads: QuadratureBundle) -> np.ndarray:
-    """Gradient of T -> |f o T|_{W^{1,p}} along the retraction T exp(eps M),
-    projected onto the trace-free tangent.  For p < 2 the integrand is taken
-    on the set where the gradient does not vanish, which identifies the
-    almost-everywhere derivative."""
-    ctx = _sample_objective(field, SmoothnessParams(1.0, p), quads)
-    return ctx.gradient(_as_matrix(T))
+    """|f o T|_{s,p} from samples of f taken at T = I, with no composed
+    field: the descent's objective, seminorms._sample_objective.  Raises
+    NumericalFailureError where those samples do not resolve f o T."""
+    return _resolved_value(_sample_objective(field, params, quads),
+                           _as_matrix(T))
 
 
 def numeric_gradient(field, T, params: SmoothnessParams,
@@ -245,7 +246,8 @@ def _descend(ctx, start: np.ndarray, opts: OptimizerOptions):
             # a step so long that exp(-step B) overflows is a rejected trial
             with np.errstate(over="ignore", invalid="ignore"):
                 candidate = _renormalize(T @ matrix_exp(-step * B))
-            trial = np.inf if candidate is None else ctx.value(candidate)
+            resolved = candidate is not None and ctx.trusted(candidate)
+            trial = ctx.value(candidate) if resolved else np.inf
             if np.isfinite(trial) and trial <= value - opts.armijo_c * step * gnorm ** 2:
                 T, value = candidate, trial
                 trace.step_sizes[-1] = step
@@ -253,8 +255,10 @@ def _descend(ctx, start: np.ndarray, opts: OptimizerOptions):
                 break
             step *= opts.backtrack
         if not accepted:
-            trace.terminal_reason = ("no descent at floating precision; "
-                                     "best point so far returned")
+            trace.terminal_reason = (
+                "no descent at floating precision" if resolved else
+                "every descent step leaves the transforms the quadrature "
+                "resolves") + "; best point so far returned"
             return T, value, trace
     trace.terminal_reason = "iteration limit reached"
     return T, value, trace
@@ -267,23 +271,14 @@ def minimize(field, params: SmoothnessParams, opts: OptimizerOptions,
     Monotone Armijo descent with the retraction T exp(-eta B) on the
     fixed-sample objective of seminorms._sample_objective, where B is its
     exact gradient.  Returns (T*, value, trace) with T* polar-aligned (its
-    free rotation factor removed) and value recomputed through the public
-    composition objective.
+    free rotation factor removed) and value that same objective at T*.
     """
     if not isinstance(field, AnalyticField):
         raise ValueError(f"minimize needs an AnalyticField, got "
                          f"{type(field).__name__}")
     n = field.dimension
-    if params.fractional:
-        # composing with the identity is exact, so the context's profile
-        # gives objective(field, I) bit for bit
-        profile = directional_profile(field, params, quads)
-        base_value = seminorm(field, params, quads, profile=profile)
-        ctx = _sample_objective(field, params, quads, profile=profile)
-    else:
-        # the integer semi-norm is this objective at the identity
-        ctx = _sample_objective(field, params, quads)
-        base_value = ctx.value(np.eye(n))
+    ctx = _sample_objective(field, params, quads)
+    base_value = ctx.value(np.eye(n))
     if not np.isfinite(base_value):
         raise NumericalFailureError("non-finite objective at the identity")
     if base_value <= 0.0:
@@ -292,21 +287,11 @@ def minimize(field, params: SmoothnessParams, opts: OptimizerOptions,
     starts = [np.eye(n)]
     rng = np.random.default_rng(7)
     starts += [random_unimodular(rng, n) for _ in range(opts.restarts)]
-
-    best = None
-    for start in starts:
-        T, value, trace = _descend(ctx, start, opts)
-        if best is None or value < best[1]:
-            best = (T, value, trace)
-    T, fast_value, trace = best
-
+    # the first of the descents that reach the least value
+    T, _, trace = min((_descend(ctx, start, opts) for start in starts),
+                      key=lambda result: result[1])
     aligned = polar_align(T)
-    final_value = objective(field, aligned, params, quads)
-    if final_value > base_value:
-        # quadrature-level disagreement between the iteration context and
-        # the composition path: the identity is then the certified point
-        return UnimodularTransform(np.eye(n)), base_value, trace
-    return UnimodularTransform(aligned), final_value, trace
+    return UnimodularTransform(aligned), ctx.value(aligned), trace
 
 
 def critical_residuals(field, T, p: float, quads: QuadratureBundle):
@@ -331,31 +316,16 @@ def descent_step(field, params: SmoothnessParams, xi: np.ndarray, lam: float,
     if lam <= 1.0:
         raise ValueError("the stretch factor must exceed 1")
     xi = np.asarray(xi, dtype=float)
-    n = xi.shape[0]
-    rotation = _rotation_to_first_axis(xi)
-    mu = lam ** (-1.0 / (n - 1))
-    diag = np.full(n, mu)
-    diag[0] = lam
-    T = rotation.T @ np.diag(diag) @ rotation
-    old_value = objective(field, np.eye(n), params, quads)
-    new_value = objective(field, T, params, quads)
-    return UnimodularTransform(T), old_value, new_value
-
-
-def _rotation_to_first_axis(xi: np.ndarray) -> np.ndarray:
-    """Proper rotation O with O xi = e1."""
-    n = xi.shape[0]
-    norm = np.linalg.norm(xi)
-    if norm == 0:
+    norm_sq = xi @ xi
+    if norm_sq == 0:
         raise ValueError("direction must be nonzero")
-    unit = xi / norm
-    v = unit - np.eye(n)[0]
-    if v @ v < 1e-24:
-        return np.eye(n)
-    H = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
-    if np.linalg.det(H) < 0:
-        H[-1] = -H[-1]
-    return H
+    n = xi.shape[0]
+    mu = lam ** (-1.0 / (n - 1))
+    # lambda along xi, mu on its orthogonal complement
+    T = mu * np.eye(n) + (lam - mu) * np.outer(xi, xi) / norm_sq
+    ctx = _sample_objective(field, params, quads)
+    return (UnimodularTransform(T), ctx.value(np.eye(n)),
+            _resolved_value(ctx, T))
 
 
 @dataclass(frozen=True)
@@ -371,19 +341,25 @@ def directional_lower_bound_check(field, T_star, params: SmoothnessParams,
                                   quads: QuadratureBundle,
                                   threshold: float | None = None) -> DirectionalBoundReport:
     """At a (near) minimizer every direction must carry a definite share:
-    min and max over sphere nodes of D(f o T*, xi)^{1/p} / |f o T*|.
+    min and max of D(f o T*, xi)^{1/p} / |f o T*| over the pulled-back
+    sphere nodes xi_j = T*^{-1} eta_j / |T*^{-1} eta_j|, the weak direction
+    being the xi_j of least share.  On both branches D(f o T, xi) =
+    |T xi|^{sp} D(f, T xi / |T xi|), so one profile of f gives
+    D(f o T*, xi_j) = |T*^{-1} eta_j|^{-sp} D(f, eta_j).
 
     The default acceptance floor is half the explicit first order lower
     bound constant when that formula applies, otherwise strict positivity.
     """
     m = _as_matrix(T_star)
-    composed = field.affine_compose(m) if isinstance(field, AnalyticField) \
-        else field.compose_affine(m)
-    profile = directional_profile(composed, params, quads)
-    total = seminorm(composed, params, quads, profile=profile)
+    profile = directional_profile(field, params, quads)
+    total = _resolved_value(
+        _sample_objective(field, params, quads, profile=profile), m)
     if total <= 0:
         raise ValueError("field has no smoothness energy at this transform")
-    ratios = profile.values ** (1.0 / params.p) / total
+    pulled = profile.sphere.nodes @ np.linalg.inv(m).T
+    lengths = np.linalg.norm(pulled, axis=1)
+    shares = lengths ** (-params.s * params.p) * profile.values
+    ratios = shares ** (1.0 / params.p) / total
     if threshold is None:
         if not params.fractional and params.difference_order == 1:
             from .constants import c1_first_approach
@@ -395,13 +371,13 @@ def directional_lower_bound_check(field, T_star, params: SmoothnessParams,
     passed = min_ratio >= threshold if threshold > 0 else min_ratio > 0
     return DirectionalBoundReport(min_ratio, float(np.max(ratios)),
                                   float(threshold), bool(passed),
-                                  profile.sphere.nodes[min_idx].copy())
+                                  pulled[min_idx] / lengths[min_idx])
 
 
 __all__ = [
     "UnimodularTransform", "OptimizerOptions", "OptimizerTrace",
     "DirectionalBoundReport", "sl_basis", "matrix_exp", "polar_align",
-    "objective", "exact_gradient_s1", "numeric_gradient", "random_unimodular",
+    "objective", "numeric_gradient", "random_unimodular",
     "minimize", "critical_residuals", "descent_step",
     "directional_lower_bound_check",
 ]

@@ -208,20 +208,6 @@ def test_grid_field_evaluation_and_volume():
     assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-12)
 
 
-def test_grid_field_compose_and_gradient():
-    xs = np.linspace(-4.0, 4.0, 81)
-    mesh = np.meshgrid(xs, xs, indexing="ij")
-    g = _grid(np.exp(-0.5 * (mesh[0] ** 2 + mesh[1] ** 2)), half=4.0)
-    theta = 0.3
-    rot = np.array([[math.cos(theta), -math.sin(theta)],
-                    [math.sin(theta), math.cos(theta)]])
-    composed = g.compose_affine(rot)
-    pt = np.array([0.5, -0.25])
-    assert composed(pt) == pytest.approx(g(rot @ pt), abs=5e-3)
-    grads = g.gradient_arrays()
-    assert len(grads) == 2 and grads[0].shape == g.values.shape
-
-
 def test_grid_field_shape_validation():
     with pytest.raises(DimensionMismatchError):
         GridField(np.zeros(3), np.ones(2), np.zeros((4, 4)), 1.0)
