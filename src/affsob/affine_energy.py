@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import NumericalFailureError, SmoothnessParams
 from .quadrature import QuadratureBundle
-from .seminorms import DirectionalEnergyProfile, directional_profile, seminorm, starred_seminorm
+from .seminorms import DirectionalEnergyProfile, _profile_for, directional_profile
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,10 @@ class EnergyResult:
     degenerate is set exactly when some profile node carried zero energy (or
     the aggregation overflowed, which is the same thing at float precision);
     under the power-type psi that sends the value to 0.  tail_budget is the
-    sphere integral of the profile's tail interval: the radial truncation
-    width on the swept path, and at p = 2, where the energies are closed
-    forms with no radial rule, a bound on their rounding error.
+    sphere integral of the profile's tail interval: on the swept path the
+    radial head model and far field only, not the box, sphere or panel
+    error (1e4 to 1e10 times larger at coarse tiers); at p = 2, where the
+    energies are closed forms, a bound on their rounding error.
     resolution_drift is stamped only when a doubled-resolution monitor ran.
     """
 
@@ -109,9 +110,7 @@ def psi_energy(field, params: SmoothnessParams, psi: PsiSpec,
     sphere-integrated variant (derivative branch); psi = the -sp/N power
     recovers the affine energy.
     """
-    if profile is None:
-        profile = directional_profile(field, params, quads)
-    return _aggregate(profile, psi, params)
+    return _aggregate(_profile_for(field, params, quads, profile), psi, params)
 
 
 def affine_energy(field, params: SmoothnessParams, quads: QuadratureBundle, *,
@@ -126,8 +125,7 @@ def affine_energy(field, params: SmoothnessParams, quads: QuadratureBundle, *,
     monitor_resolution the sphere rule is doubled once and the relative
     difference is stamped on the result.
     """
-    if profile is None:
-        profile = directional_profile(field, params, quads)
+    profile = _profile_for(field, params, quads, profile)
     spec = PsiSpec.power(params.s, params.p, quads.dimension)
     result = _aggregate(profile, spec, params)
     if not monitor_resolution:
@@ -146,15 +144,10 @@ def affine_energy(field, params: SmoothnessParams, quads: QuadratureBundle, *,
 
 def jensen_gap(field, params: SmoothnessParams, quads: QuadratureBundle, *,
                profile: DirectionalEnergyProfile | None = None) -> float:
-    """Semi-norm (sphere-integrated variant on the derivative branch) minus
-    the affine energy.  Nonnegative up to quadrature noise, and zero exactly
-    when the profile is constant, i.e. for radial fields."""
-    if profile is None:
-        profile = directional_profile(field, params, quads)
+    """Jensen's envelope (int_S D)^(1/p), the semi-norm on the difference
+    branch and its sphere-integrated variant on the derivative branch,
+    minus the affine energy.  Nonnegative up to quadrature noise, and zero
+    exactly when the profile is constant, i.e. for radial fields."""
+    profile = _profile_for(field, params, quads, profile)
     energy = affine_energy(field, params, quads, profile=profile)
-    if params.fractional:
-        base = seminorm(field, params, quads, profile=profile)
-    else:
-        base = starred_seminorm(field, int(round(params.s)), params.p, quads,
-                                profile=profile)
-    return base - energy.value
+    return profile.integrate() ** (1.0 / params.p) - energy.value

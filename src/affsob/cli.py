@@ -19,7 +19,7 @@ from .constants import (c1_first_approach, c1_general, c1_second_approach,
                         c_gamma)
 from .fields import NumericalFailureError
 from .reporting import write_plot_csv
-from .seminorms import directional_profile, seminorm, starred_seminorm
+from .seminorms import directional_profile, seminorm
 from .sl_opt import minimize
 from .suites import run_suite, run_suite_with_series, suite_names
 
@@ -95,9 +95,7 @@ def _cmd_energy(args) -> int:
         },
     }
     if not cfg.params.fractional:
-        payload["starred_seminorm"] = starred_seminorm(
-            cfg.field, int(round(cfg.params.s)), cfg.params.p,
-            cfg.quadrature, profile=profile)
+        payload["starred_seminorm"] = profile.integrate() ** (1 / cfg.params.p)
     print(f"field {cfg.field_name}: seminorm {payload['seminorm']!r}, "
           f"energy {result.value!r}, degenerate {result.degenerate}")
     if args.out:

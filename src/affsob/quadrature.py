@@ -315,7 +315,9 @@ def radial_from_samples(samples: np.ndarray, s: float, p: float, order: int,
     t^{-sp-1} g(t); below t_min the model g ~ c t^{mp} fitted at the first
     node closes the integral.  Above t_max the exact separated-lobes limit
     far_constant replaces g: the rule's range must reach the separation
-    scale, so the residual interval is the lobe-interaction floor.
+    scale.  The interval covers those two models only, not the panel error
+    of the body or the box error of g, 1e4 to 1e10 times larger at coarse
+    tiers.
     """
     sp = s * p
     head_exp = (order - s) * p

@@ -15,7 +15,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -59,17 +59,20 @@ class DirectionalEnergyProfile:
     """Per-direction energies D(f, xi_j) on a sphere quadrature.
 
     values[j] is the p-th power energy along sphere.nodes[j].  On the swept
-    difference branch tail_interval[j] bounds what the truncated radial
-    integral may have dropped (head plus tail estimate).  At p = 2 the
-    energies of an AnalyticField are closed forms with no radial rule, and
-    tail_interval[j] bounds their rounding error instead.  The derivative
-    branch has neither, so there it is identically zero.
+    difference branch tail_interval[j] covers only the radial head model
+    and the far field, not the box, sphere or panel error, which at coarse
+    tiers is 1e4 to 1e10 times larger.  At p = 2 the energies of an
+    AnalyticField are closed forms, and tail_interval[j] bounds their
+    rounding error.  On the derivative branch it is zero, and `samples`
+    holds the _derivative_samples the energies came from (else None).
     """
 
     params: SmoothnessParams
     sphere: SphereQuadrature
     values: np.ndarray
     tail_interval: np.ndarray
+    samples: tuple | None = dataclass_field(default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if self.values.shape != (self.sphere.nodes.shape[0],):
@@ -132,11 +135,9 @@ def _warn_if_excluded(params: SmoothnessParams, stacklevel: int = 3) -> None:
         warnings.warn(_EXCLUDED_MESSAGE, RuntimeWarning, stacklevel=stacklevel)
 
 
-def _integer_energies(field, order: int, p: float, directions: np.ndarray,
-                      quads: QuadratureBundle,
-                      box: BoxQuadrature | None) -> np.ndarray:
-    """L^p energy of the order-th derivative along each direction."""
-    alphas, mat, weights = _derivative_samples(field, order, quads, box)
+def _integer_energies(samples, p: float, directions: np.ndarray) -> np.ndarray:
+    """L^p energy of the derivative along each direction from `samples`."""
+    alphas, mat, weights = samples
     W = directional_weight_matrix(directions, alphas)
     n_pts = mat.shape[1]
     values = np.empty(W.shape[0])
@@ -172,12 +173,23 @@ def directional_profile(field, params: SmoothnessParams,
     targets = np.flatnonzero(antipode >= np.arange(n))
     values = np.empty(n)
     tails = np.empty(n)
-    values[targets], tails[targets] = _direction_energies(
+    values[targets], tails[targets], samples = _direction_energies(
         field, params, sphere.nodes[targets], quads,
         difference_order=difference_order)
     values[antipode[targets]] = values[targets]
     tails[antipode[targets]] = tails[targets]
-    return DirectionalEnergyProfile(params, sphere, values, tails)
+    return DirectionalEnergyProfile(params, sphere, values, tails, samples)
+
+
+def _profile_for(field, params: SmoothnessParams, quads: QuadratureBundle,
+                 profile: DirectionalEnergyProfile | None
+                 ) -> DirectionalEnergyProfile:
+    """`profile`, checked against `params`, or else the field's profile."""
+    if profile is None:
+        return directional_profile(field, params, quads)
+    if profile.params != params:
+        raise ValueError(f"profile is for {profile.params}, not {params}")
+    return profile
 
 
 def _thread_count() -> int:
@@ -196,24 +208,21 @@ def _thread_count() -> int:
 
 
 def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
-                     p: float, order: int, quads: QuadratureBundle,
-                     box: BoxQuadrature | None) -> tuple[np.ndarray, np.ndarray]:
+                     p: float, order: int, quads: QuadratureBundle
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Radial energy along each direction, and its tail interval.
 
     At p = 2 the energies of an AnalyticField are exact (finite-part closed
     form, see autocorrelation.py) and the interval bounds their rounding.
     Otherwise an elongated box is swept per direction for the difference
     energies up to the lobe-separation scale t_sep, and the exact
-    separated-lobes far field closes the radial integral; `box` only serves
-    the sweep's ||f||_p^p.
+    separated-lobes far field closes the radial integral.
     """
     if p == 2.0:
         exact = exact_directional_energies(field, directions, s, order)
         if exact is not None:
             return exact
-    if box is None:
-        box = quads.box_for(field)
-    fpp = _lp_power(field, p, box)
+    fpp = _lp_power(field, p, quads.box_for(field))
     far_constant = _separated_lobes_constant(order, p) * fpp
     values = np.empty(directions.shape[0])
     tails = np.empty(directions.shape[0])
@@ -245,50 +254,46 @@ def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
 
 
 def directional_energy(field, params: SmoothnessParams, xi: np.ndarray,
-                       quads: QuadratureBundle, *,
-                       box: BoxQuadrature | None = None) -> float:
+                       quads: QuadratureBundle) -> float:
     """Energy along a single unit direction."""
     xi = np.asarray(xi, dtype=float)
     if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
         raise ValueError("direction must be a unit vector")
-    values, _ = _direction_energies(field, params, xi[None, :], quads, box=box)
+    values, _, _ = _direction_energies(field, params, xi[None, :], quads)
     return float(values[0])
 
 
 def _direction_energies(field, params: SmoothnessParams,
                         directions: np.ndarray, quads: QuadratureBundle, *,
-                        difference_order: int | None = None,
-                        box: BoxQuadrature | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Energy and tail interval along each direction, on the derivative
-    branch at integer s and on the difference branch otherwise."""
+                        difference_order: int | None = None
+                        ) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """Energy and tail interval along each direction, and the samples, on
+    the derivative branch at integer s and the difference branch (None)."""
     if not params.fractional:
         if difference_order is not None:
             raise ValueError("difference_order applies to the non-integer branch")
         _warn_if_excluded(params, stacklevel=4)
-        order = _integer_order(params)
-        return (_integer_energies(field, order, params.p, directions, quads,
-                                  box),
-                np.zeros(directions.shape[0]))
+        samples = _derivative_samples(field, _integer_order(params), quads)
+        return (_integer_energies(samples, params.p, directions),
+                np.zeros(directions.shape[0]), samples)
     if isinstance(field, GridField):
         raise ValueError("difference-quotient branch needs an analytic field")
     order = params.difference_order if difference_order is None \
         else int(difference_order)
     if order <= params.s:
         raise ValueError("difference order must exceed s")
-    return _radial_energies(field, directions, params.s, params.p, order,
-                            quads, box)
+    return (*_radial_energies(field, directions, params.s, params.p, order,
+                              quads), None)
 
 
-def _derivative_samples(field, order: int, quads: QuadratureBundle,
-                        box: BoxQuadrature | None = None
+def _derivative_samples(field, order: int, quads: QuadratureBundle
                         ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """All order-k partials, one row per multi-index, at the nodes of `box`
-    (default: the bundle's box for the field) with their weights; a
-    GridField's are central differences, axis 0 first, at its grid points."""
+    """All order-k partials, one row per multi-index, at the nodes of the
+    bundle's box for the field with their weights, which a derivative
+    profile keeps; a GridField's are central differences, axis 0 first."""
     alphas = multi_indices(field.dimension, order)
     if not isinstance(field, GridField):
-        box = quads.box_for(field) if box is None else box
+        box = quads.box_for(field)
         return alphas, field.partial_values(box.nodes, order), box.weights
     if order > 2:
         raise ValueError("grid fields support derivative orders 1 and 2 only")
@@ -457,21 +462,20 @@ def _sample_objective(field, params: SmoothnessParams,
                       quads: QuadratureBundle, *,
                       profile: DirectionalEnergyProfile | None = None
                       ) -> _SampleObjective:
-    """The objective T -> |f o T|_{s,p} on samples of f taken at T = I.
+    """The objective T -> |f o T|_{s,p} on samples of f taken at T = I, or
+    on those of `profile` when given; at integer s none is built here.
     With det T = 1 changes of variables keep those samples valid at every T:
 
     - s = 1: the integral of |T^t grad f(Tx)|^p equals that of
       |T^t grad f|^p over the original box;
     - fractional s: |f o T|_{s,p}^p = int_S |T^{-1} eta|^{-(N+sp)}
-      D(f, eta) dsigma(eta), so one directional profile of f suffices
-      (`profile`, computed here when not given);
+      D(f, eta) dsigma(eta), so one directional profile of f suffices;
     - integer s >= 2: the s-th derivative of f o T along xi is that of f
       along T xi, applied to the order-s partials of f on the original box.
     """
     n = field.dimension
     if params.fractional:
-        if profile is None:
-            profile = directional_profile(field, params, quads)
+        profile = _profile_for(field, params, quads, profile)
         sphere = profile.sphere
 
         def resolved(matrix):
@@ -485,7 +489,9 @@ def _sample_objective(field, params: SmoothnessParams,
         ctx.trusted = resolved
         return ctx
     order = _integer_order(params)
-    alphas, mat, weights = _derivative_samples(field, order, quads)
+    alphas, mat, weights = (
+        _derivative_samples(field, order, quads) if profile is None
+        else _profile_for(field, params, quads, profile).samples)
     if order == 1:
         return _norm_power_objective(_derivative_tensor(alphas, mat, n),
                                      weights, params.p, params.p)
@@ -504,16 +510,16 @@ def seminorm(field, params: SmoothnessParams, quads: QuadratureBundle, *,
              profile: DirectionalEnergyProfile | None = None) -> float:
     """The homogeneous semi-norm |f|_{s,p} (difference or derivative branch).
 
-    `profile` serves only the difference branch.  The derivative branch
-    ignores it: there the semi-norm is the optimizer's objective at T = I.
+    On the derivative branch it is the optimizer's objective at T = I, on
+    the profile's samples when a profile is given.
     """
     if params.fractional:
-        if profile is None:
-            profile = directional_profile(field, params, quads)
+        profile = _profile_for(field, params, quads, profile)
         return profile.integrate() ** (1.0 / params.p)
 
     _warn_if_excluded(params)
-    value = _sample_objective(field, params, quads).value(np.eye(field.dimension))
+    value = _sample_objective(field, params, quads, profile=profile).value(
+        np.eye(field.dimension))
     if not np.isfinite(value):
         raise NumericalFailureError("non-finite derivative-norm integral")
     return value
@@ -525,9 +531,7 @@ def starred_seminorm(field, s: int, p: float, quads: QuadratureBundle, *,
     if abs(s - round(s)) > 1e-12:
         raise ValueError("starred variant is defined for integer s")
     params = SmoothnessParams(float(round(s)), p)
-    if profile is None:
-        profile = directional_profile(field, params, quads)
-    return profile.integrate() ** (1.0 / p)
+    return _profile_for(field, params, quads, profile).integrate() ** (1.0 / p)
 
 
 def _one_d_seminorm_power(field: AnalyticField, params: SmoothnessParams,
@@ -600,12 +604,8 @@ def slicing_bounds(field, params: SmoothnessParams, basis: np.ndarray,
     dim = basis.shape[0]
     if basis.shape != (dim, dim) or np.abs(basis @ basis.T - np.eye(dim)).max() > 1e-10:
         raise ValueError("basis must be an orthonormal frame")
-    box = None
-    if not isinstance(field, GridField):
-        box = quads.box_for(field)
-    total = 0.0
-    for row in basis:
-        total += directional_energy(field, params, row, quads, box=box) ** (1.0 / params.p)
+    values, _, _ = _direction_energies(field, params, basis, quads)
+    total = sum(float(v) ** (1.0 / params.p) for v in values)
     value = seminorm(field, params, quads)
     return total / dim, value, total
 

@@ -21,7 +21,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .quadrature import (QuadratureBundle, RadialSpec, build_sphere_quadrature,
 from .reporting import CheckResult, VerificationReport
 from .seminorms import (_thread_count, directional_energy,
                         directional_profile, lp_norm, seminorm,
-                        slice_seminorm_crosscheck, slicing_bounds,
-                        starred_seminorm)
+                        slice_seminorm_crosscheck, slicing_bounds)
 from .sl_opt import (OptimizerOptions, descent_step,
                      directional_lower_bound_check, minimize, objective,
                      random_unimodular)
@@ -148,14 +147,6 @@ _CROSSCHECK_MEMBERS = ("radial", "aniso", "hermite")
 _CROSSCHECK_PAIRS = ((0.5, 2.0), (1.0, 2.0))
 
 
-def _reference_norm(field, params, bundle, profile):
-    """Jensen's upper envelope: the seminorm, sphere-integrated for integers."""
-    if params.fractional:
-        return seminorm(field, params, bundle, profile=profile)
-    return starred_seminorm(field, int(round(params.s)), params.p, bundle,
-                            profile=profile)
-
-
 def _core_impl(scale: float = 1.0, seed: int = 0):
     fam = standard_family()
     bundle = QuadratureBundle.default(2).scaled(scale)
@@ -178,7 +169,8 @@ def _core_impl(scale: float = 1.0, seed: int = 0):
             params = SmoothnessParams(s, p)
             pr = prof("radial", s, p)
             energy = affine_energy(fam["radial"], params, bundle, profile=pr)
-            ref = _reference_norm(fam["radial"], params, bundle, pr)
+            # Jensen's envelope: the semi-norm, sphere-integrated at integer s
+            ref = pr.integrate() ** (1.0 / p)
             return spec.row("core", energy.value, ref)
         return job
 
@@ -248,7 +240,7 @@ def _core_impl(scale: float = 1.0, seed: int = 0):
             params = SmoothnessParams(s, p)
             pr = prof(name, s, p)
             energy = affine_energy(fam[name], params, bundle, profile=pr)
-            ref = _reference_norm(fam[name], params, bundle, pr)
+            ref = pr.integrate() ** (1.0 / p)
             return spec.row("core", energy.value, ref)
         return job
 
@@ -269,8 +261,7 @@ def _core_impl(scale: float = 1.0, seed: int = 0):
                 pr = prof(name, 1.0, 2.0)
                 energy = affine_energy(fam[name], SmoothnessParams(1.0, 2.0),
                                        bundle, profile=pr).value
-                gaps.append(starred_seminorm(fam[name], 1, 2.0, bundle,
-                                             profile=pr) - energy)
+                gaps.append(pr.integrate() ** 0.5 - energy)
                 series.append(("E-vs-shear", float(sigma), energy))
             shared["shear_series"] = series
             increments = np.diff(gaps)
@@ -498,7 +489,7 @@ def _ineq_impl(scale: float = 1.0, seed: int = 0):
             for member in stressed:
                 pr = directional_profile(member, params, quads)
                 lhs = (lp_norm(member, 2.0, quads.box_for(member)) ** 0.5
-                       * seminorm(member, params, quads) ** 0.5)
+                       * seminorm(member, params, quads, profile=pr) ** 0.5)
                 out.append(lhs / affine_energy(member, params, quads,
                                                profile=pr).value)
             return out
@@ -542,6 +533,7 @@ def _ineq_impl(scale: float = 1.0, seed: int = 0):
                     lap_row = lap_spec.row(
                         "inequalities", bound, pr.min_value,
                         note=f"grid {res}^3, laplacian L1 {_fmt(lap_l1)}")
+                del grid, pr  # free the coarse partials the profile holds
             drift_row = drift_spec.row(
                 "inequalities", ratios[res_base], ratios[res_fine],
                 note=f"grids {res_base}^3 vs {res_fine}^3")
@@ -751,10 +743,10 @@ _NOIMPRO_RADII = (1.0, 0.5, 0.25, 0.125)
 
 
 def _noimpro_ratio(member, q, params, bundle):
-    box = bundle.box_for(member)
-    numerator = (lp_norm(member, q, box) ** 0.5
-                 * seminorm(member, params, bundle) ** 0.5)
-    return numerator / affine_energy(member, params, bundle).value
+    pr = directional_profile(member, params, bundle)
+    numerator = (lp_norm(member, q, bundle.box_for(member)) ** 0.5
+                 * seminorm(member, params, bundle, profile=pr) ** 0.5)
+    return numerator / affine_energy(member, params, bundle, profile=pr).value
 
 
 def _noimpro_impl(scale: float = 1.0, seed: int = 0):
