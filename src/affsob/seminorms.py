@@ -267,8 +267,8 @@ def _direction_energies(field, params: SmoothnessParams,
                         directions: np.ndarray, quads: QuadratureBundle, *,
                         difference_order: int | None = None
                         ) -> tuple[np.ndarray, np.ndarray, tuple | None]:
-    """Energy and tail interval along each direction, and the samples, on
-    the derivative branch at integer s and the difference branch (None)."""
+    """Energy, tail interval and derivative samples (None for differences)
+    along the directions: derivative branch at integer s, else differences."""
     if not params.fractional:
         if difference_order is not None:
             raise ValueError("difference_order applies to the non-integer branch")

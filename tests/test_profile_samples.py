@@ -70,7 +70,8 @@ def test_seminorm_of_a_profile_is_the_seminorm(s, p, family, lean2):
 
 
 def test_seminorm_of_a_profile_is_the_seminorm_in_3d():
-    field = AnalyticField.gaussian(3).affine_compose(np.diag([1.5, 1.0, 1 / 1.5]))
+    field = AnalyticField.gaussian(3).affine_compose(
+        np.diag([1.5, 1.0, 1 / 1.5]))
     quads = QuadratureBundle.default(3, box_nodes=16, sphere_resolution=8)
     params = SmoothnessParams(1.0, 2.0)
     profile = directional_profile(field, params, quads)
