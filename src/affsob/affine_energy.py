@@ -71,7 +71,7 @@ class EnergyResult:
     under the power-type psi that sends the value to 0.  tail_budget is the
     sphere integral of the profile's tail interval: on the swept path the
     radial head model and far field only, not the box, sphere or panel
-    error (1e4 to 1e10 times larger at coarse tiers); at p = 2, where the
+    error (1e4 to 1e10 times larger at coarse tiers); at even p, where the
     energies are closed forms, a bound on their rounding error.
     resolution_drift is stamped only when a doubled-resolution monitor ran.
     """

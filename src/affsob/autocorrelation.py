@@ -1,38 +1,34 @@
-"""Exact p = 2 directional energies of Gaussian-polynomial fields.
+"""Exact even-p directional energies of Gaussian-polynomial fields.
 
-At p = 2 the difference energy along xi is a finite combination of the
-field's autocorrelation R(u) = int f(x + u xi) f(x) dx, which is even:
-
-    ||Delta^m_{t xi} f||_2^2 = sum_{k=0}^{m} w_k R(k t),
-    w_0 = C(2m, m),  w_k = 2 (-1)^k C(2m, m+k).
-
-The w_k annihilate t^{2j} for j < m, so for every non-integer s < m the
-radial integral D(f, xi) = int_0^inf t^{-1-2s} g(t) dt is a Hadamard
-finite part:
-
-    D(f, xi) = 1/2 K(s, m) FP int_R |u|^{-1-2s} R(u) du,
-    K(s, m) = sum_{k=1}^{m} w_k k^{2s}.
-
-Each ordered term pair (i, j) of R is A exp(-h (u - u0)^2 / 2) P(u) with
-h > 0 and P a polynomial of degree at most deg_i + deg_j (see _PairRule);
-(j, i) is the mirror image u -> -u and has the same finite part.  With
-y = sqrt(h) u a pair's finite part is h^s sum_j c_j F_j(y0), where c_j are
-the coefficients of P in y and
-
-    F_j(y0) = FP int |y|^{-1-2s} y^j exp(-(y - y0)^2 / 2) dy
-
-is a Kummer function (DLMF 13.2).  Nothing is truncated: the interval
-returned with each energy bounds its rounding error, not a radial tail.
+At even p, g(t) = int (sum_{l,i} c_l f_i(x + l t xi))^p dx sums, over
+multisets of p (shift l, term i) pairs, multinomial * prod c_l times the
+products I(t) = int prod_k f_{i_k}(x + l_k t xi) dx, each
+A exp(-(h (t - t0)^2 + gap) / 2) P(t) (see _ProductRule).  Products that
+differ by a translation of the shifts, or by l -> -l (I(t) -> I(-t)),
+merge; products constant in t drop out.  g is even and O(t^{pm}), so for
+s < m, D(f, xi) = int_0^inf t^{-1-sp} g(t) dt is half the sum of the
+products' Hadamard finite parts, each h^sigma sum_j c_j F_j(y0) with
+sigma = sp/2, c_j the coefficients of P in y = sqrt(h) t and the Kummer
+functions F_j(y0) = FP int |y|^{-1-2 sigma} y^j exp(-(y - y0)^2 / 2) dy.
+At p = 2 sigma = s is not an integer, and the dilations t -> k t merge as
+well: D(f, xi) = 1/2 K FP int |u|^{-1-2s} R(u) du over the autocorrelation
+R with K = sum_{k>=1} 2 (-1)^k C(2m, m+k) k^{2s}.  At integer sigma the F_j
+have poles; each product keeps the constant term of its Laurent expansion
+in sigma, as the pole parts add up to g's zero t^{sp} coefficient (so no
+dilations merge: t -> c t would add c^{sp} log c terms).  Nothing is
+truncated: the interval returned with each energy bounds its rounding.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
-from .fields import AnalyticField
+from .fields import _SWEEP_BLOCK, AnalyticField
 
 __all__ = ["exact_directional_energies", "finite_part_moments"]
 
@@ -66,73 +62,155 @@ def _hermite_rule(dimension: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=None)
 def _interpolation(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes y_k and the inverse Vandermonde matrix that turns the values
-    of a polynomial of this degree at them into monomial coefficients."""
-    y = np.polynomial.hermite_e.hermegauss(degree + 1)[0]
-    inverse = np.linalg.inv(np.vander(y, increasing=True))
+    of a polynomial of this degree at them into monomial coefficients: the
+    Gauss rule at the y_k gives its coefficients in the He_j, whose own are
+    integers (inverting the Vandermonde matrix, of condition 3e16 at degree
+    18, does not)."""
+    herme = np.polynomial.hermite_e
+    y, w = herme.hermegauss(degree + 1)
+    to_monomial = np.zeros((degree + 1, degree + 1))
+    for j, row in enumerate(np.eye(degree + 1)):
+        to_monomial[:j + 1, j] = herme.herme2poly(row) / (
+            math.sqrt(2.0 * math.pi) * math.factorial(j))
+    inverse = to_monomial @ (herme.hermevander(y, degree) * w[:, None]).T
     y.flags.writeable = False
     inverse.flags.writeable = False
     return y, inverse
 
 
-class _PairRule:
-    """int f_i(x + u xi) f_j(x) dx for two terms
-    f = c q(x) exp(-(x - mu)^T A (x - mu) / 2).
-
-    With P = A_i + A_j and H = A_i P^{-1} A_j the product of the Gaussian
-    factors is exp(-d^T H d / 2) exp(-(x - m)^T P (x - m) / 2) with
-    d = mu_i - mu_j - u xi and m = P^{-1}(A_i mu_i + A_j mu_j) - u P^{-1} A_i xi,
-    so the integral is
-    envelope(u) * E[q_i(m + u xi + L^{-T} z) q_j(m + L^{-T} z)], z ~ N(0, I),
-    with P = L L^T and envelope(u) = c_i c_j (2 pi)^{N/2} det(P)^{-1/2}
-    exp(-d^T H d / 2).  In u the exponent is
-    -(h (u - u0)^2 + delta^T H delta - h u0^2) / 2 with h = xi^T H xi and
-    u0 = xi^T H delta / h, and the expectation is a polynomial P(u).
+class _ProductRule:
+    """int prod_k f_{i_k}(x + l_k t xi) dx over factors k = 1..F of terms
+    c q(x) exp(-(x - mu)^T A (x - mu) / 2), for a batch of shift vectors l
+    with l_F = 0.  With P = sum_k A_k = L L^T and d_k = mu_k - mu_F - l_k t xi
+    the Gaussians multiply to exp(-Q / 2) exp(-(x - m)^T P (x - m) / 2) with
+    Q = sum_{k,k'<F} d_k^T M_kk' d_k', M_kk = A_k P^{-1} (P - A_k),
+    M_kk' = -A_k P^{-1} A_k' and m = P^{-1} sum_k A_k (mu_k - l_k t xi), so
+    the integral is prod_k c_k (2 pi)^{N/2} det(P)^{-1/2} exp(-Q / 2) times
+    P(t) = E[prod_k q_k(m + l_k t xi + L^{-T} z)], z ~ N(0, I).  Two factors
+    give the autocorrelation pair, M = A_1 P^{-1} A_2.
     """
 
-    def __init__(self, a: AnalyticField, i: int, j: int):
-        ti, tj = a.terms[i], a.terms[j]
-        combined = ti.precision + tj.precision
+    def __init__(self, a: AnalyticField, terms: tuple[int, ...]):
+        factors = [a.terms[i] for i in terms]
+        precisions = [t.precision for t in factors]
+        combined = functools.reduce(np.add, precisions)
         chol = np.linalg.cholesky(combined)
         self.n = a.dimension
-        self.polys = (ti.polynomial, tj.polynomial)
-        self.degree = ti.polynomial.degree + tj.polynomial.degree
-        self.hmat = ti.precision @ np.linalg.solve(combined, tj.precision)
-        self.hmat = 0.5 * (self.hmat + self.hmat.T)
-        self.delta = ti.mean - tj.mean
-        self.centre = np.linalg.solve(
-            combined, ti.precision @ ti.mean + tj.precision @ tj.mean)
-        # m moves by -u (P^{-1} A_i) xi; the nodes are x = m + z^T L^{-1}
-        self.drift = np.linalg.solve(combined, ti.precision)
+        self.polys = tuple(t.polynomial for t in factors)
+        self.degree = sum(q.degree for q in self.polys)
+        moving = range(len(factors) - 1)
+        # m moves by -t (P^{-1} A_k) l_k xi; the nodes are x = m + z^T L^{-1}
+        self.drift = np.stack([np.linalg.solve(combined, precisions[k])
+                               for k in moving])
+        hmat = np.block([[
+            precisions[k] @ np.linalg.solve(combined, functools.reduce(
+                np.add, precisions[:k] + precisions[k + 1:]))
+            if k == kk else -precisions[k] @ self.drift[kk]
+            for kk in moving] for k in moving])
+        hmat = 0.5 * (hmat + hmat.T)
+        delta = np.concatenate([factors[k].mean - factors[-1].mean
+                                for k in moving])
+        self.hmat = hmat.reshape(len(moving), self.n, len(moving), self.n)
+        self.h_delta = (hmat @ delta).reshape(len(moving), self.n)
+        self.delta_norm = float(delta @ hmat @ delta)
+        self.centre = np.linalg.solve(combined, functools.reduce(
+            np.add, [t.precision @ t.mean for t in factors]))
         self.root_inv = np.linalg.inv(chol)
-        self.scale = (ti.coefficient * tj.coefficient
+        self.scale = (math.prod(t.coefficient for t in factors)
                       * (2.0 * math.pi) ** (self.n / 2.0)
                       / float(np.prod(np.diag(chol))))
 
-    def polynomial_values(self, xi: np.ndarray, u: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-        """P(u) for directions xi (D, N) at displacements u (D, U), with
-        the absolute sums of the rule that bound its rounding."""
+    def exponent(self, xi: np.ndarray, shifts: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """h and h t0, so that Q = h t^2 - 2 h t0 t + delta_norm, for shift
+        vectors (G, F - 1) along directions xi (D, N), each (G, D)."""
+        hmat = np.einsum("gk,kilj,gl->gij", shifts, self.hmat, shifts)
+        h = np.einsum("di,gij,dj->gd", xi, hmat, xi)
+        return h, np.stack([xi @ b for b in shifts @ self.h_delta])
+
+    def polynomial_values(self, xi: np.ndarray, shifts: np.ndarray,
+                          t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P(t) for shift vectors (G, F - 1) and directions xi (D, N) at
+        steps t (G, D, T), with the absolute sums of the rule that bound
+        its rounding."""
         z, w = _hermite_rule(self.n, self.degree // 2 + 1)
         offsets = z @ self.root_inv
-        base = self.centre - u[:, :, None] * (xi @ self.drift.T)[:, None, :]
-        pts = base[:, :, None, :] + offsets
-        shifted = pts + u[:, :, None, None] * xi[:, None, None, :]
-        q_i, q_j = self.polys
-        vals = (q_i.evaluate(shifted.reshape(-1, self.n))
-                * q_j.evaluate(pts.reshape(-1, self.n))).reshape(pts.shape[:3])
+        drift = np.tensordot(shifts, self.drift, axes=1)
+        base = (self.centre - t[..., None]
+                * (xi @ drift.transpose(0, 2, 1))[:, :, None, :])
+        pts = base[..., None, :] + offsets
+        vals = 1.0
+        for k, q in enumerate(self.polys):
+            at = pts if k == shifts.shape[1] else pts + (shifts[
+                :, k, None, None] * t)[..., None, None] * xi[:, None, None, :]
+            vals = vals * q.evaluate(at.reshape(-1, self.n)).reshape(
+                pts.shape[:-1])
         return vals @ w, np.abs(vals) @ w
 
+    def finite_parts(self, xi: np.ndarray, shifts: np.ndarray,
+                     weights: np.ndarray, sigma: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """sum over the batch of weight * FP int |t|^{-1-2 sigma} I(t) dt
+        along each direction, and the absolute sum of its contributions,
+        in blocks of shift vectors of about _SWEEP_BLOCK nodes."""
+        nodes, inverse = _interpolation(self.degree)
+        size = xi.shape[0] * nodes.size * (self.degree // 2 + 1) ** self.n
+        value, absolute = np.zeros((2, xi.shape[0]))
+        block = max(1, _SWEEP_BLOCK // size)
+        for lo in range(0, shifts.shape[0], block):
+            lam = shifts[lo:lo + block]
+            h, h_t0 = self.exponent(xi, lam)
+            gap = self.delta_norm - h_t0 ** 2 / h
+            front = (weights[lo:lo + block, None] * self.scale
+                     * np.exp(-0.5 * gap) * h ** sigma)
+            root = np.sqrt(h)
+            vals, sizes = self.polynomial_values(xi, lam,
+                                                 nodes / root[..., None])
+            moments = finite_part_moments(sigma, self.degree,
+                                          (h_t0 / root).ravel(),
+                                          log_scale=np.log(h).ravel())
+            moments, moment_sizes = (m.reshape((-1,) + h.shape)
+                                     for m in moments)
+            value += (front * np.einsum("gdj,jgd->gd", vals @ inverse.T,
+                                        moments)).sum(axis=0)
+            absolute += (np.abs(front) * np.einsum(
+                "gdj,jgd->gd", sizes @ np.abs(inverse).T, moment_sizes)
+                ).sum(axis=0)
+        return value, absolute
 
-def _difference_weights(order: int) -> np.ndarray:
-    """w_k for k = 0..order with g(t) = sum_k w_k R(k t)."""
-    w = np.array([2.0 * (-1.0) ** k * math.comb(2 * order, order + k)
-                  for k in range(order + 1)])
-    w[0] = math.comb(2 * order, order)
-    return w
+
+@functools.lru_cache(maxsize=None)
+def _expansion(n_terms: int, p: int, order: int) -> tuple:
+    """(terms, shifts (G, p - 1), weights) per sorted term tuple of g(t) at
+    even p, each shift vector standing for its translations and reflection."""
+    c = [math.comb(order, l) * (-1) ** (order - l) for l in range(order + 1)]
+    atoms = [(i, l) for i in range(n_terms) for l in range(order + 1)]
+    groups: dict = {}
+    for chosen in itertools.combinations_with_replacement(atoms, p):
+        terms = tuple(i for i, _ in chosen)
+        if len({l for _, l in chosen}) == 1:
+            continue
+        weight = math.factorial(p) * math.prod(c[l] for _, l in chosen)
+        for count in Counter(chosen).values():
+            weight //= math.factorial(count)
+        # sorted within each run of one term, measured from the last factor
+        key = min(tuple(l - ordered[-1][1] for _, l in ordered[:-1])
+                  for ordered in (sorted((i, sign * l) for i, l in chosen)
+                                  for sign in (1, -1)))
+        table = groups.setdefault(terms, {})
+        table[key] = table.get(key, 0) + weight
+    products = []
+    for terms, table in groups.items():
+        arrays = [np.array(list(keys), dtype=float)
+                  for keys in (table, table.values())]
+        for a in arrays:
+            a.flags.writeable = False
+        products.append((terms, *arrays))
+    return tuple(products)
 
 
-def finite_part_moments(s: float, degree: int, y0: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def finite_part_moments(s: float, degree: int, y0: np.ndarray,
+                        log_scale=0.0) -> tuple[np.ndarray, np.ndarray]:
     """F_j(y0) = FP int |y|^{-1-2s} y^j exp(-(y - y0)^2 / 2) dy for
     j = 0..degree at every point of the 1-D array y0, shape
     (degree + 1, len(y0)), with the absolute sums of the terms that make
@@ -149,6 +227,12 @@ def finite_part_moments(s: float, degree: int, y0: np.ndarray
         F_j ~ sqrt(2 pi) sgn(y0)^j |y0|^a sum_{k even} C(a, k) (k-1)!! y0^{-k},
 
     with a = j - 1 - 2s, is summed until its terms stop mattering.
+
+    At integer s a series term with a = (j+n)/2 - s = -i <= 0 sits on a
+    pole.  Of a finite part h^s sum_j c_j F_j it keeps the constant term of
+    h^eps 2^{a-eps} Gamma(a - eps) as eps -> 0 (DLMF 5.7.1),
+    2^{-i} (-1)^i / i! (psi(i+1) + log 2 - log h) with log h = log_scale
+    (a scalar or one per y0) and psi(i+1) = H_i - Euler's constant.
     """
     y0 = np.asarray(y0, dtype=float)
     j = np.arange(degree + 1, dtype=float)[:, None]
@@ -158,12 +242,28 @@ def finite_part_moments(s: float, degree: int, y0: np.ndarray
     near = x - 2.0 * s * np.log(np.maximum(2.0 * x, 1.0)) < _LAPLACE_LEVEL
 
     y = y0[near]
+    y2 = y ** 2
     n = j % 2
     a = 0.5 * (j + n) - s
+    power = np.where(n == 1, y, 1.0)
+    total, absolute = np.zeros(power.shape), np.zeros(power.shape)
+    if s == math.floor(s):
+        log_h = np.broadcast_to(log_scale, y0.shape)[near]
+        for row in range(degree + 1):
+            while a[row, 0] <= 0.0:
+                i = int(-a[row, 0])
+                psi = sum(1.0 / k for k in range(1, i + 1)) - np.euler_gamma
+                term = ((-0.5) ** i / math.factorial(i) * power[row]
+                        * (psi + math.log(2.0) - log_h))
+                total[row] += term
+                absolute[row] += np.abs(term)
+                power[row] *= y2 / ((n[row] + 1.0) * (n[row] + 2.0))
+                n[row] += 2.0
+                a[row] += 1.0
     gamma = np.vectorize(math.gamma)(a)
-    term = np.where(n == 1, y, 1.0) * 2.0 ** a * gamma
-    total, absolute = term.copy(), np.abs(term)
-    y2 = y ** 2
+    term = power * 2.0 ** a * gamma
+    total += term
+    absolute += np.abs(term)
     while np.any(np.abs(term) > _EPS * absolute):
         term = term * y2 * (j + n - 2.0 * s) / ((n + 1.0) * (n + 2.0))
         n = n + 2.0
@@ -191,43 +291,46 @@ def finite_part_moments(s: float, degree: int, y0: np.ndarray
 
 
 def exact_directional_energies(field, directions: np.ndarray, s: float,
-                               order: int
+                               p: float, order: int
                                ) -> tuple[np.ndarray, np.ndarray] | None:
-    """D(f, xi) at p = 2 along each row of directions, and a bound on the
-    rounding error of each value; None when the field is not an
-    AnalyticField with positive definite precisions or its pair integrals
-    overflow."""
-    if not isinstance(field, AnalyticField) or field.flat_ok:
+    """D(f, xi) at even p along each row of directions, and a bound on the
+    rounding error of each value; None when p is not an even integer, the
+    field is not an AnalyticField with positive definite precisions, or
+    its product integrals overflow."""
+    if not isinstance(field, AnalyticField) or field.flat_ok or p % 2.0:
         return None
     n_terms = len(field.terms)
+    if p == 2.0:
+        k = np.arange(1, order + 1, dtype=float)
+        weights = k ** (2.0 * s) * [2.0 * (-1) ** j * math.comb(
+            2 * order, order + j) for j in range(1, order + 1)]
+        factor = float(weights.sum())
+        bound_factor = float(np.abs(weights).sum())
+        # R's ordered pairs (i, j) and (j, i) are mirror images
+        products = [((i, j), np.ones((1, 1)), np.array([2.0 - (i == j)]))
+                    for i in range(n_terms) for j in range(i, n_terms)]
+    else:
+        factor = bound_factor = 1.0
+        products = _expansion(n_terms, int(p), order)
     try:
-        pairs = [(_PairRule(field, i, j), 1.0 if i == j else 2.0)
-                 for i in range(n_terms) for j in range(i, n_terms)]
+        rules = [(_ProductRule(field, terms), shifts, weights)
+                 for terms, shifts, weights in products]
     except np.linalg.LinAlgError:
         return None
-    if not all(math.isfinite(pair.scale) for pair, _ in pairs):
+    if not all(math.isfinite(rule.scale) for rule, _, _ in rules):
         return None
 
     xi = np.asarray(directions, dtype=float)
-    k = np.arange(1, order + 1, dtype=float)
-    weights = _difference_weights(order)[1:] * k ** (2.0 * s)
+    sigma = 0.5 * s * p
+    # within rounding of a pole the series would divide by the rounding
+    if abs(sigma - round(sigma)) <= 8.0 * _EPS * sigma:
+        sigma = float(round(sigma))
     finite_part = np.zeros(xi.shape[0])
     absolute = np.zeros(xi.shape[0])
-    for pair, multiplicity in pairs:
-        h = np.einsum("di,ij,dj->d", xi, pair.hmat, xi)
-        h_delta = xi @ (pair.hmat @ pair.delta)
-        gap = float(pair.delta @ pair.hmat @ pair.delta) - h_delta ** 2 / h
-        front = multiplicity * pair.scale * np.exp(-0.5 * gap) * h ** s
-        nodes, inverse = _interpolation(pair.degree)
-        root = np.sqrt(h)
-        vals, sizes = pair.polynomial_values(xi, nodes / root[:, None])
-        moments, moment_sizes = finite_part_moments(s, pair.degree,
-                                                    h_delta / root)
-        coeffs = vals @ inverse.T
-        finite_part += front * np.einsum("dj,jd->d", coeffs, moments)
-        absolute += np.abs(front) * np.einsum(
-            "dj,jd->d", sizes @ np.abs(inverse).T, moment_sizes)
-    values = 0.5 * float(weights.sum()) * finite_part
-    bounds = (0.5 * _ROUNDING_STEPS * _EPS * float(np.abs(weights).sum())
-              * absolute)
+    for rule, shifts, weights in rules:
+        value, size = rule.finite_parts(xi, shifts, weights, sigma)
+        finite_part += value
+        absolute += size
+    values = 0.5 * factor * finite_part
+    bounds = 0.5 * _ROUNDING_STEPS * _EPS * bound_factor * absolute
     return values, bounds

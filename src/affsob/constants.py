@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import SmoothnessParams
 from .quadrature import QuadratureBundle
-from .seminorms import directional_energy, seminorm
+from .seminorms import _direction_energies, seminorm
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -154,8 +154,11 @@ def estimate_slicing_constants(family, params: SmoothnessParams,
                           "slicing estimate", RuntimeWarning, stacklevel=2)
             continue
         for frame in frames:
-            sliced = sum(directional_energy(member, params, row, quads)
-                         for row in frame)
+            frame = np.asarray(frame, dtype=float)
+            if np.abs(np.linalg.norm(frame, axis=1) - 1.0).max() > 1e-10:
+                raise ValueError("frame rows must be unit vectors")
+            sliced = float(_direction_energies(member, params, frame,
+                                               quads)[0].sum())
             if sliced <= 0:
                 warnings.warn("degenerate frame energy excluded from the "
                               "slicing estimate", RuntimeWarning, stacklevel=2)

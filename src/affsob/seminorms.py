@@ -61,10 +61,11 @@ class DirectionalEnergyProfile:
     values[j] is the p-th power energy along sphere.nodes[j].  On the swept
     difference branch tail_interval[j] covers only the radial head model
     and the far field, not the box, sphere or panel error, which at coarse
-    tiers is 1e4 to 1e10 times larger.  At p = 2 the energies of an
-    AnalyticField are closed forms, and tail_interval[j] bounds their
-    rounding error.  On the derivative branch it is zero, and `samples`
-    holds the _derivative_samples the energies came from (else None).
+    tiers is 1e4 to 1e10 times larger.  At even p, integer sp/2 included,
+    the energies of an AnalyticField are closed forms, and tail_interval[j]
+    bounds their rounding error.  On the derivative branch it is zero, and
+    `samples` holds the _derivative_samples the energies came from (else
+    None).
     """
 
     params: SmoothnessParams
@@ -212,16 +213,16 @@ def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Radial energy along each direction, and its tail interval.
 
-    At p = 2 the energies of an AnalyticField are exact (finite-part closed
-    form, see autocorrelation.py) and the interval bounds their rounding.
-    Otherwise an elongated box is swept per direction for the difference
-    energies up to the lobe-separation scale t_sep, and the exact
-    separated-lobes far field closes the radial integral.
+    At even p the energies of an AnalyticField are exact (finite parts of
+    Gaussian products, see autocorrelation.py, including integer sp/2) and
+    the interval bounds their rounding.  Otherwise an elongated box is
+    swept per direction for the difference energies up to the
+    lobe-separation scale t_sep, and the exact separated-lobes far field
+    closes the radial integral.
     """
-    if p == 2.0:
-        exact = exact_directional_energies(field, directions, s, order)
-        if exact is not None:
-            return exact
+    exact = exact_directional_energies(field, directions, s, p, order)
+    if exact is not None:
+        return exact
     fpp = _lp_power(field, p, quads.box_for(field))
     far_constant = _separated_lobes_constant(order, p) * fpp
     values = np.empty(directions.shape[0])
@@ -489,9 +490,11 @@ def _sample_objective(field, params: SmoothnessParams,
         ctx.trusted = resolved
         return ctx
     order = _integer_order(params)
-    alphas, mat, weights = (
-        _derivative_samples(field, order, quads) if profile is None
-        else _profile_for(field, params, quads, profile).samples)
+    samples = (_derivative_samples(field, order, quads) if profile is None
+               else _profile_for(field, params, quads, profile).samples)
+    if samples is None:
+        raise ValueError("profile keeps no derivative samples")
+    alphas, mat, weights = samples
     if order == 1:
         return _norm_power_objective(_derivative_tensor(alphas, mat, n),
                                      weights, params.p, params.p)

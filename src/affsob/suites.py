@@ -21,7 +21,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,7 +93,8 @@ class _ProfileCache:
 
     Values are pure functions of the key, so a lost race recomputes the
     identical profile and the first insert wins; results never depend on
-    scheduling.
+    scheduling.  Every cached consumer reads only the energies, so a
+    profile is kept without its derivative samples.
     """
 
     def __init__(self):
@@ -104,7 +105,7 @@ class _ProfileCache:
         with self._lock:
             if key in self._data:
                 return self._data[key]
-        value = compute()
+        value = replace(compute(), samples=None)
         with self._lock:
             return self._data.setdefault(key, value)
 

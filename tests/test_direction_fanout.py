@@ -26,7 +26,9 @@ def base():
         radial_spec=RadialSpec(panels=BASE_TIER["t_panels"]))
 
 
-@pytest.mark.parametrize("p", [3.0, 4.0])
+# even p has a closed form and no sweep, so the swept exponents are odd and
+# non-integer
+@pytest.mark.parametrize("p", [3.0, 2.5])
 @pytest.mark.parametrize("s", [0.5, 1.5])
 @pytest.mark.parametrize("member", ["radial", "twobump", "hermite"])
 def test_profile_is_identical_for_every_thread_count(monkeypatch, family,

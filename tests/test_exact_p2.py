@@ -93,7 +93,8 @@ def test_exact_energy_matches_a_refined_sweep(seed, n_terms, degree, order, s):
     field = _random_field(rng, 2, n_terms, degree)
     xi = rng.standard_normal(2)
     xi /= np.linalg.norm(xi)
-    got = exact_directional_energies(field, xi[None, :], s, order)[0][0]
+    got = exact_directional_energies(field, xi[None, :], s, 2.0,
+                                     order)[0][0]
     # the sweep at twice the base tier (box 36 of 96 nodes) with a
     # 24-panel radial rule leaves about 1e-11 here
     box, t_sep = directional_box(field, xi, order, node_scale=0.75)
@@ -109,18 +110,23 @@ def test_exact_energy_matches_a_refined_sweep(seed, n_terms, degree, order, s):
 
 def autocorrelation_sum(field, xi, ts, order):
     """||Delta^order_{t xi} f||_2^2 = sum_k w_k R(k t), with R summed over
-    the ordered pair rules of the closed form."""
-    weights = autocorrelation._difference_weights(order)
+    the ordered pairs of the closed form, each the two-factor product rule
+    whose first factor moves by k t."""
+    weights = [math.comb(2 * order, order)] + [
+        2.0 * (-1.0) ** k * math.comb(2 * order, order + k)
+        for k in range(1, order + 1)]
     total = np.zeros_like(ts)
     for i in range(len(field.terms)):
         for j in range(len(field.terms)):
-            pair = autocorrelation._PairRule(field, i, j)
+            pair = autocorrelation._ProductRule(field, (i, j))
             for k, w in enumerate(weights):
-                u = k * ts
-                d = pair.delta - u[:, None] * xi
-                envelope = pair.scale * np.exp(
-                    -0.5 * np.einsum("ui,ij,uj->u", d, pair.hmat, d))
-                values = pair.polynomial_values(xi[None, :], u[None, :])[0][0]
+                shift = np.array([[float(k)]])
+                h, h_t0 = pair.exponent(xi[None, :], shift)
+                envelope = pair.scale * np.exp(-0.5 * (
+                    h[0, 0] * ts ** 2 - 2.0 * h_t0[0, 0] * ts
+                    + pair.delta_norm))
+                values = pair.polynomial_values(xi[None, :], shift,
+                                                ts[None, None, :])[0][0, 0]
                 total += w * envelope * values
     return total
 
@@ -195,19 +201,24 @@ def sweep_calls(monkeypatch):
 
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_p2_profiles_build_no_sweep(order, sweep_calls, hermite, lean2):
-    params = SmoothnessParams(0.5, 2.0)
-    profile = directional_profile(hermite, params, lean2,
-                                  difference_order=order)
-    assert np.all(profile.values > 0) and np.all(profile.tail_interval > 0)
-    directional_energy(hermite, params, np.array([0.6, 0.8]), lean2)
+    # every even p, the pole sp = 2 at p = 4 included
+    for p in (2.0, 4.0, 6.0):
+        params = SmoothnessParams(0.5, p)
+        profile = directional_profile(hermite, params, lean2,
+                                      difference_order=order)
+        assert np.all(profile.values > 0)
+        assert np.all(profile.tail_interval > 0)
+        directional_energy(hermite, params, np.array([0.6, 0.8]), lean2)
     assert sweep_calls == []
-    # a flat_ok field, and p != 2, keep the sweep
+    # a flat_ok field at even p, and odd p, keep the sweep
     flat = AnalyticField(2, hermite.terms, flat_ok=True)
     tiny = QuadratureBundle.default(2, box_nodes=24, sphere_resolution=4,
                                     radial_spec=RadialSpec(panels=8))
-    directional_profile(flat, params, tiny, difference_order=order)
-    assert sweep_calls.count("difference_lp_samples") == 2
-    sweep_calls.clear()
+    for p in (2.0, 4.0):
+        directional_profile(flat, SmoothnessParams(0.5, p), tiny,
+                            difference_order=order)
+        assert sweep_calls.count("difference_lp_samples") == 2
+        sweep_calls.clear()
     directional_profile(hermite, SmoothnessParams(0.5, 3.0), tiny)
     assert sweep_calls.count("difference_lp_samples") == 2
 

@@ -11,12 +11,13 @@ import pytest
 from affsob import (AnalyticField, PsiSpec, QuadratureBundle,
                     SmoothnessParams, affine_energy,
                     directional_lower_bound_check, directional_profile,
-                    jensen_gap, psi_energy, random_unimodular, seminorm,
+                    estimate_slicing_constants, jensen_gap, psi_energy,
+                    random_frames, random_unimodular, seminorm,
                     starred_seminorm)
 from affsob.cli import cli_main
 from affsob.family import ridge_member, weak_grid_field
 from affsob.seminorms import _sample_objective
-from affsob.suites import _noimpro_ratio
+from affsob.suites import _noimpro_ratio, _ProfileCache
 
 
 @pytest.fixture()
@@ -57,6 +58,41 @@ def test_directional_bound_samples_the_partials_once(s, aniso, lean2,
 def test_noimpro_ratio_samples_the_partials_once(lean2, samplings):
     _noimpro_ratio(ridge_member(0.5), 2.0, SmoothnessParams(1.0, 1.0), lean2)
     assert samplings == [1]
+
+
+def test_slicing_estimate_samples_once_per_member_and_frame(aniso, lean2,
+                                                            samplings):
+    # the semi-norm samples once, then each frame once for all its rows
+    frames = random_frames(2, 4)
+    estimate_slicing_constants([aniso, aniso], SmoothnessParams(1.0, 2.0),
+                               lean2, frames=frames)
+    assert samplings == [1] * 2 * (1 + len(frames))
+
+
+def test_slicing_estimate_rejects_a_frame_of_other_lengths(aniso, lean2):
+    with pytest.raises(ValueError, match="unit vectors"):
+        estimate_slicing_constants([aniso], SmoothnessParams(1.0, 2.0), lean2,
+                                   frames=[2.0 * np.eye(2)])
+
+
+def test_cached_profiles_keep_no_samples(aniso, lean2):
+    params = SmoothnessParams(1.0, 2.0)
+    fresh = directional_profile(aniso, params, lean2)
+    cached = _ProfileCache().get("aniso", lambda: fresh)
+    assert fresh.samples is not None and cached.samples is None
+    assert np.array_equal(cached.values, fresh.values)
+    assert affine_energy(aniso, params, lean2, profile=cached) == \
+        affine_energy(aniso, params, lean2, profile=fresh)
+
+
+def test_a_derivative_profile_without_samples_is_rejected(aniso, lean2):
+    params = SmoothnessParams(1.0, 2.0)
+    bare = _ProfileCache().get(
+        "aniso", lambda: directional_profile(aniso, params, lean2))
+    with pytest.raises(ValueError, match="no derivative samples"):
+        seminorm(aniso, params, lean2, profile=bare)
+    with pytest.raises(ValueError, match="no derivative samples"):
+        _sample_objective(aniso, params, lean2, profile=bare)
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
