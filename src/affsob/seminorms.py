@@ -137,15 +137,26 @@ def _warn_if_excluded(params: SmoothnessParams, stacklevel: int = 3) -> None:
 
 
 def _integer_energies(samples, p: float, directions: np.ndarray) -> np.ndarray:
-    """L^p energy of the derivative along each direction from `samples`."""
+    """L^p energy of the derivative along each direction from `samples`.
+
+    At p = 2 the energy is the quadratic form W(xi)^t G W(xi) of the
+    weighted Gram matrix G = R^t R of the partials, with R the triangular
+    factor of the weighted samples: |R W(xi)^t|^2 is nonnegative, and
+    exactly 0 where W(xi) meets only all-zero partials, whose columns of R
+    are exactly zero.  Other p sweep the directions in blocks.
+    """
     alphas, mat, weights = samples
     W = directional_weight_matrix(directions, alphas)
-    n_pts = mat.shape[1]
-    values = np.empty(W.shape[0])
-    block = max(1, _SWEEP_BLOCK // max(n_pts, 1))
-    for lo in range(0, W.shape[0], block):
-        directional = W[lo:lo + block] @ mat
-        values[lo:lo + block] = np.abs(directional) ** p @ weights
+    if p == 2.0:
+        r = np.linalg.qr((mat * np.sqrt(weights)).T, mode="r")
+        values = np.sum((W @ r.T) ** 2, axis=1)
+    else:
+        n_pts = mat.shape[1]
+        values = np.empty(W.shape[0])
+        block = max(1, _SWEEP_BLOCK // max(n_pts, 1))
+        for lo in range(0, W.shape[0], block):
+            directional = W[lo:lo + block] @ mat
+            values[lo:lo + block] = np.abs(directional) ** p @ weights
     if not np.all(np.isfinite(values)):
         raise NumericalFailureError("non-finite directional energy")
     return values
@@ -400,12 +411,63 @@ def _norm_power_objective(vectors: np.ndarray, weights: np.ndarray, q: float,
                             vectors.shape[1])
 
 
-def _hessian_objective(hessians: np.ndarray, weights: np.ndarray,
-                       p: float) -> _SampleObjective:
+def _top_eigenvalues_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|lambda| for the top |eigenvalue| lambda of each [[a, b], [b, c]],
+    with m = (a + c) / 2 and d = (a - c) / 2.  The eigenvalues are m +- r
+    with r = hypot(d, b), so |lambda| = |m| + r, a sum without
+    cancellation."""
+    m, d = 0.5 * (a + c), 0.5 * (a - c)
+    return np.abs(m) + np.hypot(d, b), m, d
+
+
+def _top_eigenpairs_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """|lambda| and a unit eigenvector of lambda for each [[a, b], [b, c]].
+    With theta = atan2(b, d) / 2 the matrix is m I + r times the reflection
+    across (cos theta, sin theta), so lambda = m + r has that eigenvector
+    where m > 0 and lambda = m - r has (-sin theta, cos theta) otherwise:
+    at m = 0 the negative one, as eigh's ascending order and argmax's first
+    index choose."""
+    top, m, d = _top_eigenvalues_2x2(a, b, c)
+    theta = 0.5 * np.arctan2(b, d)
+    cos, sin = np.cos(theta), np.sin(theta)
+    positive = m > 0.0
+    v = np.stack([np.where(positive, cos, -sin), np.where(positive, sin, cos)],
+                 axis=1)
+    return top, v
+
+
+def _hessian_objective(alphas: list[tuple[int, ...]], mat: np.ndarray,
+                       weights: np.ndarray, p: float) -> _SampleObjective:
     """e = |lambda|^p for the top |eigenvalue| lambda of T^t H T.  With v
     its unit eigenvector, d|lambda| = 2 |lambda| <v v^t, M>, so
     S = sum w |lambda|^p v v^t at rate 2.  At a tie any vector of the top
-    eigenspace gives a valid subgradient."""
+    eigenspace gives a valid subgradient.  In 2-D the entries of T^t H T
+    are a linear map of the packed rows and the eigenpair a closed form;
+    from 3-D on each sample's T^t H T goes through eigh."""
+    n = len(alphas[0])
+    if n == 2:
+        def congruence(matrix):
+            """Entries a, b, c of T^t H T = [[a, b], [b, c]] at every sample:
+            with u = T e_0 and v = T e_1, a = H[u, u], b = H[u, v] and
+            c = H[v, v].  multi_indices(2, 2) packs the rows as (0, 2),
+            (1, 1), (2, 0), so mat is H11, H01, H00 in that order."""
+            (u0, v0), (u1, v1) = matrix
+            return np.array([[u1 * u1, 2.0 * u0 * u1, u0 * u0],
+                             [u1 * v1, u0 * v1 + u1 * v0, u0 * v0],
+                             [v1 * v1, 2.0 * v0 * v1, v0 * v0]]) @ mat
+
+        def energies(matrix):
+            return _top_eigenvalues_2x2(*congruence(matrix))[0] ** p
+
+        def factors(matrix):
+            top, v = _top_eigenpairs_2x2(*congruence(matrix))
+            return v, top ** p, v
+
+        return _SampleObjective(energies, factors, weights, p, 2.0, n)
+
+    hessians = _derivative_tensor(alphas, mat, n)
 
     def energies(matrix):
         lam = np.linalg.eigvalsh(matrix.T @ hessians @ matrix)
@@ -418,8 +480,7 @@ def _hessian_objective(hessians: np.ndarray, weights: np.ndarray,
         lam = np.take_along_axis(lam, top[:, None], axis=1)[:, 0]
         return v, np.abs(lam) ** p, v
 
-    return _SampleObjective(energies, factors, weights, p, 2.0,
-                            hessians.shape[1])
+    return _SampleObjective(energies, factors, weights, p, 2.0, n)
 
 
 def _scan_objective(alphas: list[tuple[int, ...]], mat: np.ndarray,
@@ -499,8 +560,7 @@ def _sample_objective(field, params: SmoothnessParams,
         return _norm_power_objective(_derivative_tensor(alphas, mat, n),
                                      weights, params.p, params.p)
     if order == 2:
-        return _hessian_objective(_derivative_tensor(alphas, mat, n), weights,
-                                  params.p)
+        return _hessian_objective(alphas, mat, weights, params.p)
     # the scan has about four times the sphere's nodes; a 3-D rule with
     # resolution r has 2 r^2 of them
     count = 4 * max(quads.sphere.nodes.shape[0], 64)

@@ -34,6 +34,11 @@ def bundle3():
     return QuadratureBundle.default(3)
 
 
+@pytest.fixture(scope="module")
+def lean3():
+    return QuadratureBundle.default(3, box_nodes=24, sphere_resolution=12)
+
+
 def test_matrix_exp_matches_scipy(rng):
     for n in (2, 3):
         a = rng.standard_normal((n, n))
@@ -123,22 +128,32 @@ def test_pushforward_objective_matches_literal_composition(
         assert ctx.value(t) == pytest.approx(composed(t), rel=rel)
 
 
-@pytest.mark.parametrize("s,p", [(1.0, 2.0), (0.5, 3.0), (1.5, 2.0),
-                                 (2.0, 2.0), (2.0, 3.0), (2.0, 1.5),
-                                 (3.0, 2.0)])
-def test_exact_gradient_agrees_with_central_differences(s, p, aniso, bundle2,
-                                                        lean2, rng):
+@pytest.mark.parametrize("s,p,field_name,quads_name", [
+    pytest.param(1.0, 2.0, "aniso", "bundle2", id="1.0-2.0"),
+    pytest.param(0.5, 3.0, "aniso", "lean2", id="0.5-3.0"),
+    pytest.param(1.5, 2.0, "aniso", "lean2", id="1.5-2.0"),
+    pytest.param(2.0, 2.0, "aniso", "bundle2", id="2.0-2.0"),
+    pytest.param(2.0, 3.0, "aniso", "bundle2", id="2.0-3.0"),
+    pytest.param(2.0, 1.5, "aniso", "bundle2", id="2.0-1.5"),
+    pytest.param(3.0, 2.0, "aniso", "bundle2", id="3.0-2.0"),
+    pytest.param(2.0, 2.0, "aniso3", "lean3", id="2.0-2.0-aniso3"),
+])
+def test_exact_gradient_agrees_with_central_differences(s, p, field_name,
+                                                        quads_name, rng,
+                                                        request):
     # s = 1 against the literal composition; otherwise against the
     # fixed-sample objective the descent uses: the moment at fractional s,
-    # eigenvalue perturbation at order 2, Danskin's theorem at order 3
-    t = random_unimodular(rng, 2)
+    # eigenvalue perturbation at order 2 (the closed-form eigenpair in 2-D,
+    # eigh in 3-D), Danskin's theorem at order 3
+    field = request.getfixturevalue(field_name)
+    quads = request.getfixturevalue(quads_name)
+    t = random_unimodular(rng, field.dimension)
     params = SmoothnessParams(s, p)
-    quads = lean2 if params.fractional else bundle2
-    ctx = _sample_objective(aniso, params, quads)
-    value_fn = _composed_value(aniso, params, quads) if s == 1.0 \
+    ctx = _sample_objective(field, params, quads)
+    value_fn = _composed_value(field, params, quads) if s == 1.0 \
         else ctx.value
     exact = ctx.gradient(t)
-    numeric = numeric_gradient(aniso, t, params, quads, _value_fn=value_fn)
+    numeric = numeric_gradient(field, t, params, quads, _value_fn=value_fn)
     np.testing.assert_allclose(exact, numeric,
                                atol=1e-8 * max(1.0, np.abs(exact).max()))
 
