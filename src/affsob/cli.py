@@ -161,8 +161,8 @@ def _cmd_constants(args) -> int:
         (p,) = _require(args, ["p"])
         print(repr(c1_second_approach(p, args.N)))
     elif args.formula == "c1-general":
-        s, p, k1, k2 = _require(args, ["s", "p", "K1", "K2"])
-        value, argmax, _ = c1_general(s, p, args.N, k1, k2)
+        s, k1, k2 = _require(args, ["s", "K1", "K2"])
+        value, argmax, _ = c1_general(s, args.N, k1, k2)
         print(f"{value!r} {argmax!r}")
     else:
         (gamma,) = _require(args, ["gamma"])

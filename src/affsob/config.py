@@ -1,15 +1,16 @@
 """JSON run configuration for the command-line surface.
 
-Top-level keys: dimension, s, p, field, quadrature, optimizer, seed.  The
-field is either a family member name or an inline term list; quadrature and
-optimizer accept partial overrides of the defaults.  Everything wrong with
-a configuration raises ConfigError, which the CLI maps to exit code 2.
+Top-level keys: dimension, s, p, field, quadrature, optimizer.  The field
+is either a family member name or an inline term list; quadrature accepts
+partial overrides of the defaults, and optimizer sets max_iters.
+Everything wrong with a configuration raises ConfigError, which the CLI
+maps to exit code 2.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from .family import field_from_spec, standard_family
@@ -24,9 +25,8 @@ class ConfigError(ValueError):
 
 _QUAD_KEYS = {"box_halfwidth", "box_nodes", "sphere_nodes",
               "t_min", "t_max", "t_panels"}
-_OPT_KEYS = {"max_iters", "grad_tol", "initial_step", "backtrack",
-             "armijo_c", "max_backtracks", "restarts"}
-_TOP_KEYS = {"dimension", "s", "p", "field", "quadrature", "optimizer", "seed"}
+_OPT_KEYS = {f.name for f in dataclass_fields(OptimizerOptions)}
+_TOP_KEYS = {"dimension", "s", "p", "field", "quadrature", "optimizer"}
 
 
 @dataclass
@@ -37,7 +37,6 @@ class RunConfig:
     field: object
     quadrature: QuadratureBundle
     optimizer: OptimizerOptions
-    seed: int
 
 
 def _build_quadrature(dimension: int, raw: dict | None) -> QuadratureBundle:
@@ -99,7 +98,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         dimension = int(raw.get("dimension", 2))
         s = float(raw.get("s", 1.0))
         p = float(raw.get("p", 2.0))
-        seed = int(raw.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scalar entry: {exc}") from exc
     if dimension not in (2, 3):
@@ -111,7 +109,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     name, field = _build_field(raw.get("field", "radial"), dimension)
     quadrature = _build_quadrature(dimension, raw.get("quadrature"))
     optimizer = _build_optimizer(raw.get("optimizer"))
-    return RunConfig(dimension, params, name, field, quadrature, optimizer, seed)
+    return RunConfig(dimension, params, name, field, quadrature, optimizer)
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -144,14 +142,7 @@ def validate_balance(s1: float, p1: float, s2: float, p2: float,
             f"{s2 - dimension / p2} vs {s1 - dimension / p1}")
 
 
-def validate_not_excluded(s: float, p: float) -> None:
-    """Integer order >= 2 with p = 1 is outside the two-sided estimates."""
-    if p == 1.0 and abs(s - round(s)) <= 1e-12 and round(s) >= 2:
-        raise ConfigError(
-            f"s = {s}, p = 1 falls in the excluded integer regime")
-
-
 __all__ = [
     "ConfigError", "RunConfig", "config_from_dict", "parse_config",
-    "validate_subcritical", "validate_balance", "validate_not_excluded",
+    "validate_subcritical", "validate_balance",
 ]

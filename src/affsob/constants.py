@@ -19,19 +19,21 @@ from .quadrature import QuadratureBundle
 from .seminorms import _direction_energies, seminorm
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# points of the geometric scan that brackets the maximum
+_SCAN_POINTS = 400
 
 
-def _maximize_log_scale(fn, lower: float, upper: float = 1e6,
-                        scan_points: int = 400) -> tuple[float, float]:
+def _maximize_log_scale(fn, lower: float,
+                        upper: float = 1e6) -> tuple[float, float]:
     """Maximize fn(lambda) over (lower, upper] by a geometric scan and a
     golden-section polish in log(lambda).  Returns (max value, argmax)."""
     lo = np.log(lower) + 1e-9
     hi = np.log(upper)
-    grid = np.linspace(lo, hi, scan_points)
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
     vals = fn(np.exp(grid))
     k = int(np.argmax(vals))
     a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, scan_points - 1)]
+    b = grid[min(k + 1, _SCAN_POINTS - 1)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc = fn(np.exp(c))
@@ -73,7 +75,7 @@ def c1_second_approach(p: float, dimension: int) -> float:
     return n ** (-0.5) if p >= 2 else n ** (-1.0 / p)
 
 
-def c1_general(s: float, p: float, dimension: int, k1: float,
+def c1_general(s: float, dimension: int, k1: float,
                k2: float) -> tuple[float, float, float]:
     """General-order lower-bound constant from a two-sided slicing estimate
     with constants 0 < K1 <= K2:
@@ -82,10 +84,9 @@ def c1_general(s: float, p: float, dimension: int, k1: float,
         (K1 - K2 lambda^{-s/(N-1)}) / (K2^2 (lambda^s - lambda^{-s/(N-1)})).
 
     Returns (value, argmax, K2); the last entry is the matching upper
-    constant of the two-sided directional bound.  p does not enter the
-    formula itself, only the provenance of K1 and K2.
+    constant of the two-sided directional bound.  The exponent p does not
+    enter the formula, only the measurement of K1 and K2.
     """
-    del p
     if k1 <= 0:
         raise ValueError("K1 must be positive")
     if k1 > k2:

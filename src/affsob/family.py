@@ -83,15 +83,11 @@ def weak_grid_field(resolution: int | None = None) -> GridField:
     radius_sq = sum(m ** 2 for m in mesh)
     values = np.exp(-0.5 * radius_sq)
     spacing = np.full(dim, 2.0 * half / (res - 1))
-    return GridField(np.full(dim, -half), spacing, values, support_radius=half)
-
-
-def support_radius() -> float:
-    return float(load_family_spec()["support_radius"])
+    return GridField(np.full(dim, -half), spacing, values)
 
 
 __all__ = [
     "load_family_spec", "field_from_spec", "standard_family",
     "ridge_member", "strong_shear_members",
-    "weak_grid_field", "support_radius",
+    "weak_grid_field",
 ]

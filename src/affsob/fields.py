@@ -143,9 +143,6 @@ class Polynomial:
             self.dimension, exponents,
             np.outer(self.coefficients, other.coefficients).ravel())
 
-    def partial_derivative(self, axis: int) -> "Polynomial":
-        return self.directional_derivative(np.eye(self.dimension)[axis])
-
     def directional_derivative(self, xi: np.ndarray) -> "Polynomial":
         """sum_j xi_j d_j q, its rows taken axis by axis."""
         xi = np.asarray(xi, dtype=float)
@@ -630,11 +627,10 @@ class GridField:
     """Scalar samples on a uniform tensor grid, for the one non-analytic run."""
 
     def __init__(self, origin: np.ndarray, spacing: np.ndarray,
-                 values: np.ndarray, support_radius: float):
+                 values: np.ndarray):
         self.origin = np.asarray(origin, dtype=float)
         self.spacing = np.asarray(spacing, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        self.support_radius = float(support_radius)
         if self.origin.shape[0] != self.values.ndim:
             raise DimensionMismatchError("origin does not match value array rank")
         if self.spacing.shape[0] != self.values.ndim:
@@ -647,28 +643,3 @@ class GridField:
     @property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation inside the sampled box, zero outside."""
-        pts, single = _as_matrix(x, self.dimension)
-        rel = (pts - self.origin) / self.spacing
-        shape = np.array(self.values.shape)
-        inside = np.all((rel >= 0) & (rel <= shape - 1), axis=1)
-        out = np.zeros(pts.shape[0])
-        if np.any(inside):
-            r = rel[inside]
-            i0 = np.clip(np.floor(r).astype(int), 0, shape - 2)
-            frac = r - i0
-            acc = np.zeros(r.shape[0])
-            for corner in range(2 ** self.dimension):
-                bits = [(corner >> k) & 1 for k in range(self.dimension)]
-                idx = tuple(i0[:, k] + bits[k] for k in range(self.dimension))
-                w = np.ones(r.shape[0])
-                for k in range(self.dimension):
-                    w *= frac[:, k] if bits[k] else 1.0 - frac[:, k]
-                acc += w * self.values[idx]
-            out[inside] = acc
-        return out[0] if single else out
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)

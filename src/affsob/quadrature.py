@@ -31,6 +31,8 @@ _DENSITY = {2: 12.0, 3: 6.0}
 _DEFAULT_NODES = {1: 192, 2: 96, 3: 48}
 _DEFAULT_HALF_WIDTH = 8.0
 _MAX_NODES_PER_AXIS = 640
+# Gauss-Legendre nodes per log-spaced panel of the radial rule
+_PANEL_ORDER = 8
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -90,13 +92,6 @@ class BoxQuadrature:
     @property
     def dimension(self) -> int:
         return self.half_widths.shape[0]
-
-    @classmethod
-    def cube(cls, dimension: int, half_width: float | None = None,
-             nodes_per_axis: int | None = None) -> "BoxQuadrature":
-        L = _DEFAULT_HALF_WIDTH if half_width is None else float(half_width)
-        m = _DEFAULT_NODES[dimension] if nodes_per_axis is None else int(nodes_per_axis)
-        return cls(np.full(dimension, L), (m,) * dimension)
 
     @classmethod
     def fitted(cls, field: AnalyticField, base_half_width: float | None = None,
@@ -266,7 +261,6 @@ class RadialSpec:
     t_min: float = 1e-4
     t_max: float = 1e3
     panels: int = 40
-    panel_order: int = 8
 
     def __post_init__(self):
         _check_width("t_min", self.t_min)
@@ -280,11 +274,11 @@ class RadialSpec:
 class RadialQuadrature:
     """Composite Gauss-Legendre panels, log-spaced on [t_min, t_max]."""
 
-    def __init__(self, t_min: float, t_max: float, panels: int, panel_order: int = 8):
+    def __init__(self, t_min: float, t_max: float, panels: int):
         if not (0 < t_min < t_max):
             raise ValueError("need 0 < t_min < t_max")
         edges = np.exp(np.linspace(math.log(t_min), math.log(t_max), panels + 1))
-        x, w = _leggauss(int(panel_order))
+        x, w = _leggauss(_PANEL_ORDER)
         nodes = []
         weights = []
         for a, b in zip(edges[:-1], edges[1:]):
@@ -292,8 +286,6 @@ class RadialQuadrature:
             weights.append(0.5 * (b - a) * w)
         self.t_min = float(t_min)
         self.t_max = float(t_max)
-        self.panels = int(panels)
-        self.panel_order = int(panel_order)
         self.nodes = np.concatenate(nodes)
         self.weights = np.concatenate(weights)
 
@@ -303,7 +295,7 @@ class RadialQuadrature:
         t_max = max(t_max, spec.t_min * 10.0)
         ratio = math.log(t_max / spec.t_min) / math.log(spec.t_max / spec.t_min)
         panels = max(8, int(math.ceil(spec.panels * ratio)))
-        return cls(spec.t_min, t_max, panels, spec.panel_order)
+        return cls(spec.t_min, t_max, panels)
 
 
 def radial_from_samples(samples: np.ndarray, s: float, p: float, order: int,
@@ -397,8 +389,7 @@ class QuadratureBundle:
 
     def scaled(self, factor: float) -> "QuadratureBundle":
         spec = RadialSpec(self.radial_spec.t_min, self.radial_spec.t_max,
-                          max(4, int(round(self.radial_spec.panels * factor))),
-                          self.radial_spec.panel_order)
+                          max(4, int(round(self.radial_spec.panels * factor))))
         return QuadratureBundle(
             self.dimension,
             max(4, int(round(self.sphere_resolution * factor))),
@@ -406,6 +397,3 @@ class QuadratureBundle:
             self.box_half_width,
             spec,
         )
-
-    def doubled(self) -> "QuadratureBundle":
-        return self.scaled(2.0)

@@ -48,6 +48,11 @@ _FLAT_RATIO = 1e-12
 # accuracy: an estimate of how it resolves |T^{-1} eta|^{-(N+sp)}, not a bound
 _PUSHFORWARD_TOL = 1e-3
 
+# Gauss-Legendre nodes of slice_seminorm_crosscheck: across the slices, and
+# along each slice before it is lengthened for the differences
+_SLICE_TRANSVERSE_NODES = 96
+_SLICE_NODES = 192
+
 _EXCLUDED_MESSAGE = (
     "derivative order >= 2 with p = 1 sits outside the two-sided comparison "
     "range; the energy is still computed"
@@ -598,8 +603,7 @@ def starred_seminorm(field, s: int, p: float, quads: QuadratureBundle, *,
 
 
 def _one_d_seminorm_power(field: AnalyticField, params: SmoothnessParams,
-                          quads: QuadratureBundle, half_width: float,
-                          nodes: int) -> float:
+                          quads: QuadratureBundle, half_width: float) -> float:
     """p-th power of the semi-norm of a 1-D field.
 
     The unit sphere in one dimension is the pair {-1, +1}, so the
@@ -609,7 +613,7 @@ def _one_d_seminorm_power(field: AnalyticField, params: SmoothnessParams,
         order = params.difference_order
         t_sep = _SEPARATION_FACTOR * half_width
         long_hw = half_width + 0.5 * order * t_sep
-        long_n = int(math.ceil(nodes * long_hw / half_width))
+        long_n = int(math.ceil(_SLICE_NODES * long_hw / half_width))
         pts, wts = gauss_legendre_nodes(long_hw, long_n)
         rq = quads.radial_range(t_sep)
         fp = float(np.abs(field.evaluate(pts[:, None])) ** params.p @ wts)
@@ -619,15 +623,14 @@ def _one_d_seminorm_power(field: AnalyticField, params: SmoothnessParams,
         value, _ = radial_from_samples(samples, params.s, params.p, order, rq,
                                        far_constant=far_constant)
         return 2.0 * value
-    pts, wts = gauss_legendre_nodes(half_width, nodes)
+    pts, wts = gauss_legendre_nodes(half_width, _SLICE_NODES)
     values = field.partial_values(pts[:, None], _integer_order(params))[0]
     return float(np.abs(values) ** params.p @ wts)
 
 
 def slice_seminorm_crosscheck(field: AnalyticField, params: SmoothnessParams,
-                              axis: int, quads: QuadratureBundle, *,
-                              transverse_nodes: int = 96,
-                              slice_nodes: int = 192) -> tuple[float, float]:
+                              axis: int, quads: QuadratureBundle
+                              ) -> tuple[float, float]:
     """Two routes to the same axis energy.
 
     lhs: twice the directional energy along e_axis (difference branch) or the
@@ -648,11 +651,11 @@ def slice_seminorm_crosscheck(field: AnalyticField, params: SmoothnessParams,
         lhs *= 2.0
 
     hw = quads.box_half_width
-    other_pts, other_wts = gauss_legendre_nodes(hw, transverse_nodes)
+    other_pts, other_wts = gauss_legendre_nodes(hw, _SLICE_TRANSVERSE_NODES)
     rhs = 0.0
     for u, w in zip(other_pts, other_wts):
         piece = field.restrict(axis=axis, fixed=np.array([u]))
-        rhs += w * _one_d_seminorm_power(piece, params, quads, hw, slice_nodes)
+        rhs += w * _one_d_seminorm_power(piece, params, quads, hw)
     return lhs, float(rhs)
 
 

@@ -42,6 +42,15 @@ from .seminorms import _sample_objective, directional_profile
 
 _DET_TOL = 1e-9
 
+# _descend's Armijo line search; it stops when |B|_F <= _GRAD_TOL * objective
+_GRAD_TOL = 1e-6
+_INITIAL_STEP = 1.0
+_BACKTRACK = 0.5
+_ARMIJO_C = 1e-4
+_MAX_BACKTRACKS = 40
+# numeric_gradient's central-difference step along the retraction
+_FD_EPSILON = 1e-5
+
 
 class UnimodularTransform:
     """Square matrix with determinant one (renormalized on construction)."""
@@ -79,23 +88,13 @@ def _as_matrix(T) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
+    """The iteration limit of minimize; its line search is fixed."""
+
     max_iters: int = 500
-    grad_tol: float = 1e-6       # relative: stop when |B|_F <= grad_tol * objective
-    initial_step: float = 1.0
-    backtrack: float = 0.5
-    armijo_c: float = 1e-4
-    max_backtracks: int = 40
-    restarts: int = 0
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.grad_tol <= 0 or self.initial_step <= 0:
-            raise ValueError("iteration limits and tolerances must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtracking factor must lie in (0, 1)")
-        if self.armijo_c <= 0 or self.max_backtracks <= 0:
-            raise ValueError("line-search parameters must be positive")
-        if self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
+        if self.max_iters <= 0:
+            raise ValueError("the iteration limit must be positive")
 
 
 @dataclass
@@ -183,19 +182,18 @@ def objective(field, T, params: SmoothnessParams, quads: QuadratureBundle) -> fl
 
 
 def numeric_gradient(field, T, params: SmoothnessParams,
-                     quads: QuadratureBundle, fd_epsilon: float = 1e-5,
-                     _value_fn=None) -> np.ndarray:
+                     quads: QuadratureBundle, _value_fn=None) -> np.ndarray:
     """Central differences of the objective along a trace-free basis,
     probed through the retraction T exp(eps M)."""
     m = _as_matrix(T)
     value_fn = _value_fn or (lambda mat: objective(field, mat, params, quads))
     grad = np.zeros_like(m)
     for basis in sl_basis(m.shape[0]):
-        plus = value_fn(m @ matrix_exp(fd_epsilon * basis))
-        minus = value_fn(m @ matrix_exp(-fd_epsilon * basis))
+        plus = value_fn(m @ matrix_exp(_FD_EPSILON * basis))
+        minus = value_fn(m @ matrix_exp(-_FD_EPSILON * basis))
         if not (np.isfinite(plus) and np.isfinite(minus)):
             raise NumericalFailureError("objective non-finite at gradient probe")
-        grad = grad + (plus - minus) / (2.0 * fd_epsilon) * basis
+        grad = grad + (plus - minus) / (2.0 * _FD_EPSILON) * basis
     return grad
 
 
@@ -225,52 +223,47 @@ def _renormalize(matrix: np.ndarray) -> np.ndarray | None:
     return matrix / det ** (1.0 / matrix.shape[0])
 
 
-def _descend(ctx, start: np.ndarray, opts: OptimizerOptions):
+def _descend(ctx, T: np.ndarray, value: float, max_iters: int):
+    """Armijo descent from T, whose objective is value: (last T, trace)."""
     trace = OptimizerTrace()
-    T = _renormalize(start.copy())
-    if T is None:
-        raise NumericalFailureError("start point is not in the unimodular group")
-    value = ctx.value(T)
-    if not np.isfinite(value):
-        raise NumericalFailureError("objective non-finite at the start point")
-    for _ in range(opts.max_iters):
+    for _ in range(max_iters):
         B = ctx.gradient(T)
         gnorm = float(np.linalg.norm(B))
         trace.record(value, gnorm, 0.0, T)
-        if gnorm <= opts.grad_tol * max(value, 1e-300):
+        if gnorm <= _GRAD_TOL * max(value, 1e-300):
             trace.terminal_reason = "gradient tolerance reached"
-            return T, value, trace
-        step = opts.initial_step
+            return T, trace
+        step = _INITIAL_STEP
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             # a step so long that exp(-step B) overflows is a rejected trial
             with np.errstate(over="ignore", invalid="ignore"):
                 candidate = _renormalize(T @ matrix_exp(-step * B))
             resolved = candidate is not None and ctx.trusted(candidate)
             trial = ctx.value(candidate) if resolved else np.inf
-            if np.isfinite(trial) and trial <= value - opts.armijo_c * step * gnorm ** 2:
+            if np.isfinite(trial) and trial <= value - _ARMIJO_C * step * gnorm ** 2:
                 T, value = candidate, trial
                 trace.step_sizes[-1] = step
                 accepted = True
                 break
-            step *= opts.backtrack
+            step *= _BACKTRACK
         if not accepted:
             trace.terminal_reason = (
                 "no descent at floating precision" if resolved else
                 "every descent step leaves the transforms the quadrature "
                 "resolves") + "; best point so far returned"
-            return T, value, trace
+            return T, trace
     trace.terminal_reason = "iteration limit reached"
-    return T, value, trace
+    return T, trace
 
 
 def minimize(field, params: SmoothnessParams, opts: OptimizerOptions,
              quads: QuadratureBundle):
     """Minimize T -> |f o T|_{W^{s,p}} over determinant-one matrices.
 
-    Monotone Armijo descent with the retraction T exp(-eta B) on the
-    fixed-sample objective of seminorms._sample_objective, where B is its
-    exact gradient.  Returns (T*, value, trace) with T* polar-aligned (its
+    Monotone Armijo descent from T = I with the retraction T exp(-eta B) on
+    the fixed-sample objective of seminorms._sample_objective, where B is
+    its exact gradient; opts sets only the iteration limit.  Returns (T*, value, trace) with T* polar-aligned (its
     free rotation factor removed) and value that same objective at T*.
     """
     if not isinstance(field, AnalyticField):
@@ -284,12 +277,7 @@ def minimize(field, params: SmoothnessParams, opts: OptimizerOptions,
     if base_value <= 0.0:
         raise ValueError("field has no smoothness energy to minimize")
 
-    starts = [np.eye(n)]
-    rng = np.random.default_rng(7)
-    starts += [random_unimodular(rng, n) for _ in range(opts.restarts)]
-    # the first of the descents that reach the least value
-    T, _, trace = min((_descend(ctx, start, opts) for start in starts),
-                      key=lambda result: result[1])
+    T, trace = _descend(ctx, np.eye(n), base_value, opts.max_iters)
     aligned = polar_align(T)
     return UnimodularTransform(aligned), ctx.value(aligned), trace
 

@@ -51,8 +51,6 @@ class CheckSpec:
     theorem: str
     relation: str
     tolerance: float
-    params: tuple = ()
-    family: tuple = ()
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -154,33 +152,30 @@ def _core_impl(scale: float = 1.0, seed: int = 0):
     cache = _ProfileCache()
     shared: dict = {}
 
-    def prof(name, s, p, quads=None):
-        quads = bundle if quads is None else quads
-        key = (name, s, p, quads.sphere_resolution, quads.box_nodes)
-        return cache.get(key, lambda: directional_profile(
-            fam[name], SmoothnessParams(s, p), quads))
+    def prof(name, s, p):
+        return cache.get((name, s, p), lambda: directional_profile(
+            fam[name], SmoothnessParams(s, p), bundle))
 
     jobs = []
 
-    def rad_job(s, p):
-        spec = CheckSpec(f"rad-equality-s{s:g}-p{p:g}", "eq-rad", "identity",
-                         1e-3, params=(s, p, 2), family=("radial",))
-
+    def envelope_job(spec, name, s, p):
+        """Compare the affine energy of a member with Jensen's envelope:
+        the semi-norm, sphere-integrated at integer s."""
         def job():
             params = SmoothnessParams(s, p)
-            pr = prof("radial", s, p)
-            energy = affine_energy(fam["radial"], params, bundle, profile=pr)
-            # Jensen's envelope: the semi-norm, sphere-integrated at integer s
+            pr = prof(name, s, p)
+            energy = affine_energy(fam[name], params, bundle, profile=pr)
             ref = pr.integrate() ** (1.0 / p)
             return spec.row("core", energy.value, ref)
         return job
 
     for s, p in _RAD_PAIRS:
-        jobs.append(rad_job(s, p))
+        spec = CheckSpec(f"rad-equality-s{s:g}-p{p:g}", "eq-rad", "identity",
+                         1e-3)
+        jobs.append(envelope_job(spec, "radial", s, p))
 
     def invariance_job(check_id, s, p, quads, tol):
-        spec = CheckSpec(check_id, "prop-affine-invariance", "deviation",
-                         tol, params=(s, p, 2), family=("twobump",))
+        spec = CheckSpec(check_id, "prop-affine-invariance", "deviation", tol)
 
         def job():
             params = SmoothnessParams(s, p)
@@ -207,7 +202,7 @@ def _core_impl(scale: float = 1.0, seed: int = 0):
 
     def pushforward_job(dim, resolution, tol):
         spec = CheckSpec(f"pushforward-identity-{dim}d", "lemma-change-of-var",
-                         "deviation", tol, params=(dim,))
+                         "deviation", tol)
 
         def job():
             sphere = build_sphere_quadrature(dim, resolution)
@@ -233,26 +228,15 @@ def _core_impl(scale: float = 1.0, seed: int = 0):
     jobs.append(pushforward_job(2, bundle.sphere_resolution, 1e-6))
     jobs.append(pushforward_job(3, max(12, int(round(24 * scale))), 1e-3))
 
-    def jensen_job(name, s, p):
+    for name, s in (("radial", 1.0), ("aniso", 1.0), ("shear2", 1.0),
+                    ("aniso", 0.5)):
         spec = CheckSpec(f"jensen-upper-{name}-s{s:g}", "lemma-jensen",
-                         "upper", 1e-9, params=(s, p, 2), family=(name,))
-
-        def job():
-            params = SmoothnessParams(s, p)
-            pr = prof(name, s, p)
-            energy = affine_energy(fam[name], params, bundle, profile=pr)
-            ref = pr.integrate() ** (1.0 / p)
-            return spec.row("core", energy.value, ref)
-        return job
-
-    for name in ("radial", "aniso", "shear2"):
-        jobs.append(jensen_job(name, 1.0, 2.0))
-    jobs.append(jensen_job("aniso", 0.5, 2.0))
+                         "upper", 1e-9)
+        jobs.append(envelope_job(spec, name, s, 2.0))
 
     def monotone_job():
         spec = CheckSpec("jensen-gap-monotone-shear", "lemma-jensen",
-                         "monotone", 1e-9,
-                         family=("shear1", "shear2", "shear4"))
+                         "monotone", 1e-9)
 
         def job():
             gaps = []
@@ -273,8 +257,7 @@ def _core_impl(scale: float = 1.0, seed: int = 0):
     jobs.append(monotone_job())
 
     def scaling_job(check_id, s, p, tol):
-        spec = CheckSpec(check_id, "lemma-2.12", "deviation", tol,
-                         params=(s, p, 2), family=("aniso",))
+        spec = CheckSpec(check_id, "lemma-2.12", "deviation", tol)
 
         def job():
             params = SmoothnessParams(s, p)
@@ -298,7 +281,7 @@ def _core_impl(scale: float = 1.0, seed: int = 0):
 
     def crosscheck_job(name, s, p):
         spec = CheckSpec(f"slice-crosscheck-{name}-s{s:g}-p{p:g}", "rmk-2.10",
-                         "identity", 1e-3, params=(s, p, 2), family=(name,))
+                         "identity", 1e-3)
 
         def job():
             lhs, rhs = slice_seminorm_crosscheck(
@@ -312,9 +295,9 @@ def _core_impl(scale: float = 1.0, seed: int = 0):
 
     def sandwich_job(p):
         lower_spec = CheckSpec(f"slice-sandwich-lower-p{p:g}", "eq-slice-s1",
-                               "upper", 1e-9, params=(1.0, p, 2))
+                               "upper", 1e-9)
         upper_spec = CheckSpec(f"slice-sandwich-upper-p{p:g}", "eq-slice-s1",
-                               "upper", 1e-9, params=(1.0, p, 2))
+                               "upper", 1e-9)
 
         def job():
             params = SmoothnessParams(1.0, p)
@@ -408,21 +391,18 @@ def _ineq_impl(scale: float = 1.0, seed: int = 0):
 
     jobs = []
 
-    spec11 = CheckSpec("thm1.1-sobolev-constant", "thm1.1", "drift", 0.05,
-                       params=(0.5, 2.0, 2), family=_INEQ_MEMBERS)
+    spec11 = CheckSpec("thm1.1-sobolev-constant", "thm1.1", "drift", 0.05)
     jobs.append(drift_job(spec11, lambda tier: [
         norm_q(name, 4.0, tier) / energy(name, 0.5, 2.0, tier)
         for name in _INEQ_MEMBERS]))
 
-    spec12 = CheckSpec("thm1.2-energy-ordering", "thm1.2", "drift", 0.05,
-                       params=(0.5, 4.0, 2), family=_INEQ_MEMBERS)
+    spec12 = CheckSpec("thm1.2-energy-ordering", "thm1.2", "drift", 0.05)
     jobs.append(drift_job(spec12, lambda tier: [
         energy(name, 0.5, 4.0, tier) / energy(name, 1.0, 2.0, tier)
         for name in _INEQ_MEMBERS]))
 
     def domain_job():
-        spec = CheckSpec("thm1.5-energy-domain", "thm1.5", "drift", 0.05,
-                         params=(0.5, 2.0, 2), family=_INEQ_MEMBERS)
+        spec = CheckSpec("thm1.5-energy-domain", "thm1.5", "drift", 0.05)
 
         def ratios(tier):
             out = []
@@ -448,16 +428,14 @@ def _ineq_impl(scale: float = 1.0, seed: int = 0):
 
     jobs.append(domain_job())
 
-    spec16 = CheckSpec("thm1.6-gn-interpolation", "thm1.6", "drift", 0.05,
-                       params=(0.5, 2.0, 2), family=_INEQ_MEMBERS)
+    spec16 = CheckSpec("thm1.6-gn-interpolation", "thm1.6", "drift", 0.05)
     jobs.append(drift_job(spec16, lambda tier: [
         energy(name, 0.5, 2.0, tier)
         / (norm_q(name, 2.0, tier) ** 0.5 * energy(name, 1.0, 2.0, tier) ** 0.5)
         for name in _INEQ_MEMBERS]))
 
     def reverse_classic_job():
-        spec = CheckSpec("thm1.7-reverse-classic", "thm1.7", "drift", 0.05,
-                         params=(1.0, 2.0, 2), family=("bump",))
+        spec = CheckSpec("thm1.7-reverse-classic", "thm1.7", "drift", 0.05)
         rng = np.random.default_rng(seed + 41)
         transforms = [np.eye(2)]
         transforms += [random_unimodular(rng, 2, (1.0, 8.0)) for _ in range(4)]
@@ -477,23 +455,15 @@ def _ineq_impl(scale: float = 1.0, seed: int = 0):
     jobs.append(reverse_classic_job())
 
     def reverse_affine_job():
-        spec = CheckSpec("thm1.8-reverse-affine", "thm1.8", "drift", 0.05,
-                         params=(1.0, 2.0, 2), family=("bump",))
+        spec = CheckSpec("thm1.8-reverse-affine", "thm1.8", "drift", 0.05)
         stressed = [fam["bump"],
                     fam["bump"].affine_compose(_shear_matrix(2.0)),
                     fam["bump"].affine_compose(_shear_matrix(4.0))]
 
         def constant(tier):
-            quads = itiers[tier]
             params = SmoothnessParams(1.0, 2.0)
-            out = []
-            for member in stressed:
-                pr = directional_profile(member, params, quads)
-                lhs = (lp_norm(member, 2.0, quads.box_for(member)) ** 0.5
-                       * seminorm(member, params, quads, profile=pr) ** 0.5)
-                out.append(lhs / affine_energy(member, params, quads,
-                                               profile=pr).value)
-            return out
+            return [_noimpro_ratio(member, 2.0, params, itiers[tier])
+                    for member in stressed]
 
         return drift_job(spec, constant)
 
@@ -503,9 +473,9 @@ def _ineq_impl(scale: float = 1.0, seed: int = 0):
         res_base = max(16, int(round(64 * scale)))
         res_fine = max(res_base + 8, int(round(96 * scale)))
         drift_spec = CheckSpec("thm-weak-grid-drift", "prop-lap+thm-weak",
-                               "drift", 0.05, params=(2.0, 1.0, 3))
+                               "drift", 0.05)
         lap_spec = CheckSpec("prop-lap-directional-floor", "prop-lap+thm-weak",
-                             "upper", 1e-9, params=(2.0, 1.0, 3))
+                             "upper", 1e-9)
         bundle3 = QuadratureBundle.default(3).scaled(scale)
         params = SmoothnessParams(2.0, 1.0)
 
@@ -579,8 +549,7 @@ def _optimizer_impl(scale: float = 1.0, seed: int = 0):
     jobs = []
 
     def value_job():
-        spec = CheckSpec("minimize-aniso-value", "thm1.3", "identity", 1e-3,
-                         params=(1.0, 2.0, 2), family=("aniso",))
+        spec = CheckSpec("minimize-aniso-value", "thm1.3", "identity", 1e-3)
 
         def job():
             T, value, trace = minimized("aniso")
@@ -591,8 +560,7 @@ def _optimizer_impl(scale: float = 1.0, seed: int = 0):
         return job
 
     def matrix_job():
-        spec = CheckSpec("minimize-aniso-matrix", "thm1.3", "deviation", 1e-3,
-                         family=("aniso",))
+        spec = CheckSpec("minimize-aniso-matrix", "thm1.3", "deviation", 1e-3)
 
         def job():
             T, _, _ = minimized("aniso")
@@ -603,7 +571,7 @@ def _optimizer_impl(scale: float = 1.0, seed: int = 0):
 
     def residual_job():
         spec = CheckSpec("critical-residuals-aniso", "eq-equi-formula",
-                         "deviation", 1e-4, family=("aniso",))
+                         "deviation", 1e-4)
 
         def job():
             from .sl_opt import critical_residuals
@@ -615,8 +583,7 @@ def _optimizer_impl(scale: float = 1.0, seed: int = 0):
         return job
 
     def remark_job():
-        spec = CheckSpec("remark-p2-equality", "rmk-p2", "identity", 1e-3,
-                         family=("aniso",))
+        spec = CheckSpec("remark-p2-equality", "rmk-p2", "identity", 1e-3)
 
         def job():
             T, _, _ = minimized("aniso")
@@ -627,8 +594,7 @@ def _optimizer_impl(scale: float = 1.0, seed: int = 0):
         return job
 
     def bound_job():
-        spec = CheckSpec("directional-bound-aniso", "thm1.4", "identity",
-                         1e-3, family=("aniso",))
+        spec = CheckSpec("directional-bound-aniso", "thm1.4", "identity", 1e-3)
 
         def job():
             T, _, _ = minimized("aniso")
@@ -643,11 +609,9 @@ def _optimizer_impl(scale: float = 1.0, seed: int = 0):
 
     def sandwich_job(name):
         lower_spec = CheckSpec(f"affine-classic-lower-{name}",
-                               "cor-affine-classic", "upper", 1e-6,
-                               family=(name,))
+                               "cor-affine-classic", "upper", 1e-6)
         upper_spec = CheckSpec(f"affine-classic-upper-{name}",
-                               "cor-affine-classic", "upper", 1e-6,
-                               family=(name,))
+                               "cor-affine-classic", "upper", 1e-6)
 
         def job():
             T, value, _ = minimized(name)
@@ -666,7 +630,7 @@ def _optimizer_impl(scale: float = 1.0, seed: int = 0):
 
     def radial_job():
         spec = CheckSpec("minimize-radial-early-exit", "thm1.3", "upper",
-                         1e-12, family=("radial",))
+                         1e-12)
 
         def job():
             T, value, trace = minimized("radial")
@@ -677,8 +641,7 @@ def _optimizer_impl(scale: float = 1.0, seed: int = 0):
         return job
 
     def shear_value_job():
-        spec = CheckSpec("minimize-shear2-value", "thm1.3", "identity", 1e-3,
-                         family=("shear2",))
+        spec = CheckSpec("minimize-shear2-value", "thm1.3", "identity", 1e-3)
 
         def job():
             T, value, trace = minimized("shear2")
@@ -690,8 +653,7 @@ def _optimizer_impl(scale: float = 1.0, seed: int = 0):
         return job
 
     def descent_job():
-        spec = CheckSpec("descent-strong-shears", "thm1.4", "upper", 1e-12,
-                         params=(1.0, 2.0, 2))
+        spec = CheckSpec("descent-strong-shears", "thm1.4", "upper", 1e-12)
 
         def job():
             # contrapositive of the minimizer bound: a member whose weakest
@@ -766,9 +728,9 @@ def _noimpro_impl(scale: float = 1.0, seed: int = 0):
 
     def main_job():
         blowup_spec = CheckSpec("noimpro-blowup", "prop-no-impro", "lower",
-                                1e-12, params=(1.0, 1.0, 2))
+                                1e-12)
         monotone_spec = CheckSpec("noimpro-monotone", "prop-no-impro",
-                                  "monotone", 1e-9, params=(1.0, 1.0, 2))
+                                  "monotone", 1e-9)
 
         def job():
             data = series(4.0)
@@ -785,8 +747,7 @@ def _noimpro_impl(scale: float = 1.0, seed: int = 0):
         return job
 
     def control_job():
-        spec = CheckSpec("noimpro-control", "prop-no-impro", "drift", 0.20,
-                         params=(1.0, 1.0, 2))
+        spec = CheckSpec("noimpro-control", "prop-no-impro", "drift", 0.20)
 
         def job():
             data = series(1.0)
@@ -821,9 +782,7 @@ _SUITES = {
 
 
 def run_suite(name: str, scale: float = 1.0, seed: int = 0) -> VerificationReport:
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    return _SUITES[name](scale, seed)[0]
+    return run_suite_with_series(name, scale, seed)[0]
 
 
 def run_suite_with_series(name: str, scale: float = 1.0, seed: int = 0):

@@ -57,7 +57,7 @@ def test_c_gamma_closed_form():
 
 
 def test_c1_general_reduces_to_the_first_approach():
-    value, argmax, k2 = c1_general(1.0, 2.0, 2, 0.5, 1.0)
+    value, argmax, k2 = c1_general(1.0, 2, 0.5, 1.0)
     first_value, first_argmax = c1_first_approach(2)
     assert value == pytest.approx(first_value, rel=1e-9)
     assert argmax == pytest.approx(first_argmax, rel=1e-6)
@@ -65,19 +65,19 @@ def test_c1_general_reduces_to_the_first_approach():
 
 
 def test_c1_general_monotone_in_the_lower_constant():
-    base = c1_general(1.0, 2.0, 2, 0.5, 1.0)[0]
-    assert c1_general(1.0, 2.0, 2, 0.6, 1.0)[0] > base
+    base = c1_general(1.0, 2, 0.5, 1.0)[0]
+    assert c1_general(1.0, 2, 0.6, 1.0)[0] > base
 
 
 def test_c1_general_validation():
     with pytest.raises(ValueError):
-        c1_general(1.0, 2.0, 2, 0.0, 1.0)
+        c1_general(1.0, 2, 0.0, 1.0)
     with pytest.raises(ValueError):
-        c1_general(1.0, 2.0, 2, 2.0, 1.0)
+        c1_general(1.0, 2, 2.0, 1.0)
     with pytest.raises(ValueError):
-        c1_general(-1.0, 2.0, 2, 0.5, 1.0)
+        c1_general(-1.0, 2, 0.5, 1.0)
     with pytest.raises(ValueError):
-        c1_general(1.0, 2.0, 1, 0.5, 1.0)
+        c1_general(1.0, 1, 0.5, 1.0)
 
 
 def test_random_frames_are_orthonormal_and_seeded():

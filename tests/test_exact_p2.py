@@ -23,7 +23,7 @@ from test_sweep import _random_field
 # 16 panels, and the same doubled
 BASE = QuadratureBundle.default(2, box_nodes=36, sphere_resolution=32,
                                 radial_spec=RadialSpec(panels=16))
-DOUBLED = BASE.doubled()
+DOUBLED = BASE.scaled(2.0)
 
 
 def fourier_energy(terms, xi, s, order):

@@ -12,8 +12,7 @@ import pytest
 import affsob
 from affsob import (CheckResult, CheckSpec, ConfigError, VerificationReport,
                     cli_main, config_from_dict, parse_config, write_plot_csv)
-from affsob.config import (validate_balance, validate_not_excluded,
-                           validate_subcritical)
+from affsob.config import validate_balance, validate_subcritical
 from affsob.seminorms import _thread_count
 from affsob.suites import run_suite, suite_names
 
@@ -36,8 +35,7 @@ def test_config_defaults_and_overrides():
     assert cfg.dimension == 2
     assert cfg.params.s == 1.0 and cfg.params.p == 2.0
     assert cfg.field_name == "radial"
-    assert cfg.seed == 0
-    cfg = config_from_dict({"field": "aniso", "s": 0.5, "seed": 3,
+    cfg = config_from_dict({"field": "aniso", "s": 0.5,
                             "quadrature": {"box_nodes": 24},
                             "optimizer": {"max_iters": 7}})
     assert cfg.field_name == "aniso"
@@ -64,6 +62,22 @@ def test_config_rejects_bad_entries():
         config_from_dict({"field": {"shape": "blob"}})
 
 
+@pytest.mark.parametrize("raw,match", [
+    ({"seed": 3}, "unknown config keys"),
+    ({"optimizer": {"restarts": 1}}, "unknown optimizer keys"),
+    ({"optimizer": {"grad_tol": 1e-8}}, "unknown optimizer keys"),
+])
+def test_config_rejects_settings_without_a_use(tmp_path, capsys, raw, match):
+    # the optimizer block sets the iteration limit only, and no seed
+    # enters an energy or a descent
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(raw)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli_main(["optimize", "--config", str(config)]) == 2
+    assert match in capsys.readouterr().err
+
+
 def test_config_inline_field():
     cfg = config_from_dict({"field": {"terms": [{
         "coefficient": 1.0,
@@ -82,10 +96,6 @@ def test_parameter_validators():
     validate_balance(0.5, 4.0, 1.0, 2.0, 2)
     with pytest.raises(ConfigError):
         validate_balance(0.5, 4.0, 1.0, 3.0, 2)
-    validate_not_excluded(1.0, 1.0)
-    validate_not_excluded(1.5, 1.0)
-    with pytest.raises(ConfigError):
-        validate_not_excluded(2.0, 1.0)
 
 
 def test_check_spec_validation():
@@ -194,6 +204,13 @@ def test_cli_constants_value_argmax_pairs(capsys):
                      "--gamma", "1.0"]) == 0
     out = capsys.readouterr().out.split()
     assert float(out[0]) == pytest.approx(0.2071067812, rel=1e-8)
+
+
+def test_cli_c1_general_needs_no_p(capsys):
+    assert cli_main(["constants", "--formula", "c1-general", "--N", "2",
+                     "--s", "1", "--K1", "0.5", "--K2", "1"]) == 0
+    value, argmax = (float(x) for x in capsys.readouterr().out.split())
+    assert value > 0.0 and argmax > 1.0
 
 
 def test_cli_constants_missing_argument(capsys):

@@ -165,11 +165,9 @@ def test_weak_quasinorm_gaussian_level_sets():
 def test_weak_quasinorm_homogeneity_and_edge_cases():
     grid = weak_grid_field(32)
     base = weak_quasinorm(grid, 3.0)
-    tripled = GridField(grid.origin, grid.spacing, 3.0 * grid.values,
-                        grid.support_radius)
+    tripled = GridField(grid.origin, grid.spacing, 3.0 * grid.values)
     assert weak_quasinorm(tripled, 3.0) == pytest.approx(3.0 * base, rel=1e-12)
-    zero = GridField(grid.origin, grid.spacing, 0.0 * grid.values,
-                     grid.support_radius)
+    zero = GridField(grid.origin, grid.spacing, 0.0 * grid.values)
     assert weak_quasinorm(zero, 3.0) == 0.0
     with pytest.raises(ValueError):
         weak_quasinorm(grid, 0.0)
