@@ -7,6 +7,7 @@ Exit codes: 0 all requested work passed, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,9 @@ from .suites import run_suite, run_suite_with_series, suite_names
 _TRACE_HEADER = "iteration,objective,grad_norm,step_size,transform_hash"
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="affsob",
         description="Directional smoothness energies, their affine-invariant "

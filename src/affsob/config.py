@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
-from .family import field_from_spec, standard_family
+from .family import family_member, field_from_spec, load_family_spec
 from .fields import SmoothnessParams
 from .quadrature import QuadratureBundle, RadialSpec
 from .sl_opt import OptimizerOptions
@@ -72,11 +72,12 @@ def _build_optimizer(raw: dict | None) -> OptimizerOptions:
 
 def _build_field(spec, dimension: int):
     if isinstance(spec, str):
-        family = standard_family()
-        if spec not in family:
+        try:
+            member = family_member(spec)
+        except KeyError:
+            names = sorted(load_family_spec()["members"])
             raise ConfigError(
-                f"unknown field {spec!r}; family members are {sorted(family)}")
-        member = family[spec]
+                f"unknown field {spec!r}; family members are {names}") from None
         if member.dimension != dimension:
             raise ConfigError(
                 f"field {spec!r} has dimension {member.dimension}, "

@@ -45,6 +45,13 @@ def standard_family() -> dict[str, AnalyticField]:
             for name, member in spec["members"].items()}
 
 
+def family_member(name: str) -> AnalyticField:
+    """The member `name` of standard_family(), built without the others;
+    KeyError when there is no such member."""
+    spec = load_family_spec()
+    return field_from_spec(spec["members"][name], int(spec["dimension"]))
+
+
 def ridge_member(scale: float) -> AnalyticField:
     """Product profile exp(-x1^2 / (2 (w1 R)^2)) exp(-x2^2 / (2 w2^2)):
     the first axis narrows with the scale R while the second stays put."""
@@ -87,7 +94,7 @@ def weak_grid_field(resolution: int | None = None) -> GridField:
 
 
 __all__ = [
-    "load_family_spec", "field_from_spec", "standard_family",
+    "load_family_spec", "field_from_spec", "standard_family", "family_member",
     "ridge_member", "strong_shear_members",
     "weak_grid_field",
 ]

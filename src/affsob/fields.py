@@ -54,6 +54,22 @@ def _as_matrix(x: np.ndarray, dimension: int) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
+def _monomial_values(exponents: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row r = prod_j x_j^exponents[r, j] at the points x, shape (N, P).
+    The powers x_j^0 .. x_j^max of each axis come from one table built by
+    multiplication."""
+    values = np.ones((exponents.shape[0], x.shape[1]))
+    for axis, column in enumerate(exponents.T):
+        if not column.any():
+            continue
+        table = np.empty((column.max() + 1, x.shape[1]))
+        table[0] = 1.0
+        for e in range(1, table.shape[0]):
+            np.multiply(table[e - 1], x[axis], out=table[e])
+        values *= table[column]
+    return values
+
+
 class Polynomial:
     """Sparse multivariate polynomial: one exponent row per monomial.
 
@@ -117,15 +133,7 @@ class Polynomial:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         pts, single = _as_matrix(x, self.dimension)
-        # the powers x_j^0 .. x_j^max of each axis, by multiplication
-        mono = np.ones((self.exponents.shape[0], pts.shape[0]))
-        for axis, column in enumerate(self.exponents.T):
-            table = np.empty((column.max(initial=0) + 1, pts.shape[0]))
-            table[0] = 1.0
-            for e in range(1, table.shape[0]):
-                np.multiply(table[e - 1], pts[:, axis], out=table[e])
-            mono *= table[column]
-        out = self.coefficients @ mono
+        out = self.coefficients @ _monomial_values(self.exponents, pts.T)
         return out[0] if single else out
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -281,6 +289,73 @@ def _envelope_derivative(poly: Polynomial, term: GaussianTerm,
         n, np.vstack([np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)]),
         np.concatenate([[-float(w @ term.mean)], w]))
     return poly.directional_derivative(xi) + (poly * linear).scaled(-1.0)
+
+
+def _polynomial_partials(poly: Polynomial, x: np.ndarray, order: int
+                         ) -> dict[tuple[int, ...], np.ndarray]:
+    """d^beta q at the points x, shape (N, P), for every |beta| <= order
+    that does not annihilate q, keyed by beta.
+
+    d^beta x^e = e!/(e - beta)! x^(e - beta), so each d^beta q is a row of
+    coefficients on the monomials below q's exponents.  Those are valued
+    once, and one matrix product gives every d^beta q.
+    """
+    n, exponents = poly.dimension, poly.exponents
+    betas, rows, coefficients = [], [], []
+    for level in range(min(order, poly.degree) + 1):
+        for beta in multi_indices(n, level):
+            keep = (exponents >= beta).all(axis=1)
+            if not keep.any():
+                continue
+            falling = poly.coefficients[keep]
+            for axis, b in enumerate(beta):
+                for k in range(b):
+                    falling = falling * (exponents[keep, axis] - k)
+            betas.append(beta)
+            rows.append(exponents[keep] - beta)
+            coefficients.append(falling)
+    if not betas:
+        # the zero polynomial
+        return {(0,) * n: np.zeros(x.shape[1])}
+    sizes = tuple(exponents.max(axis=0) + 1)
+    keys, where = np.unique(np.ravel_multi_index(np.vstack(rows).T, sizes),
+                            return_inverse=True)
+    values = _monomial_values(np.stack(np.unravel_index(keys, sizes), axis=1), x)
+    matrix = np.zeros((len(betas), keys.shape[0]))
+    matrix[np.repeat(np.arange(len(betas)), [c.shape[0] for c in coefficients]),
+           where] = np.concatenate(coefficients)
+    return dict(zip(betas, matrix @ values))
+
+
+def _hermite_factors(u: np.ndarray, precision: np.ndarray, order: int,
+                     lowest: int) -> dict[tuple[int, ...], np.ndarray | float]:
+    """H_gamma = d^gamma exp(-Q/2) / exp(-Q/2) for lowest <= |gamma| <= order,
+    keyed by gamma, with u = A (x - mu) of shape (N, P).
+
+    H_0 = 1 and H_{gamma + e_j} = -u_j H_gamma - sum_i gamma_i A_ji
+    H_{gamma - e_i}, taking j as the last axis of gamma + e_j: the
+    coefficients of h^gamma / gamma! in exp(-u.h - h^t A h / 2) =
+    exp(-Q(x + h)/2) / exp(-Q(x)/2) satisfy it.  Each level needs the two
+    below it, so only those and the requested ones are kept.
+    """
+    n = u.shape[0]
+    below, current = {}, {(0,) * n: 1.0}
+    kept = dict(current) if lowest <= 0 else {}
+    for level in range(1, order + 1):
+        step = {}
+        for target in multi_indices(n, level):
+            j = max(i for i, a in enumerate(target) if a)
+            gamma = target[:j] + (target[j] - 1,) + target[j + 1:]
+            h = -u[j] * current[gamma]
+            for i, g in enumerate(gamma):
+                if g:
+                    lower = gamma[:i] + (g - 1,) + gamma[i + 1:]
+                    h -= g * precision[j, i] * below[lower]
+            step[target] = h
+        below, current = current, step
+        if level >= lowest:
+            kept.update(step)
+    return kept
 
 
 class AnalyticField:
@@ -449,31 +524,36 @@ class AnalyticField:
         """Every partial derivative d^alpha f with |alpha| = order at the
         points, one row per alpha of multi_indices(N, order), shape (K, P).
 
-        d^alpha of a term c q exp(-Q/2) is c P_alpha exp(-Q/2) with
-        P_{alpha + e_j} = d_j P_alpha - (A (x - mu))_j P_alpha.  The P_alpha
-        are built one order at a time, each from one of the order below, and
-        each term's Gaussian is evaluated once for all of them.
+        For a term c q E with E = exp(-Q/2), d^gamma E = H_gamma E (see
+        _hermite_factors), and by Leibniz
+        d^alpha (q E) = sum_{beta <= alpha} C(alpha, beta) d^beta q
+        H_{alpha - beta} E.  E is evaluated once per term, and every d^beta q
+        comes from one set of monomial values (_polynomial_partials), so no
+        Polynomial is built.
         """
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         pts, _ = _as_matrix(points, self.dimension)
-        n = self.dimension
-        axes = np.eye(n)
-        alphas = multi_indices(n, order)
+        # one contiguous row per coordinate
+        x = np.ascontiguousarray(pts.T)
+        alphas = multi_indices(self.dimension, order)
         out = np.zeros((len(alphas), pts.shape[0]))
         for t in self.terms:
-            polys = {(0,) * n: t.polynomial}
-            for level in range(1, order + 1):
-                # differentiate along the last axis of alpha, so each P_alpha
-                # follows the axis order d_0 first, then d_1, ...
-                for alpha in multi_indices(n, level):
-                    axis = max(i for i, a in enumerate(alpha) if a)
-                    parent = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:]
-                    polys[alpha] = _envelope_derivative(polys[parent], t, axes[axis])
-            d = pts - t.mean
-            envelope = np.exp(-0.5 * np.einsum("pi,ij,pj->p", d, t.precision, d))
+            d = x - t.mean[:, None]
+            u = t.precision @ d
+            envelope = np.exp(-0.5 * np.einsum("ip,ip->p", u, d))
+            envelope *= t.coefficient
+            # c E d^beta q, for every beta that does not annihilate q
+            scaled = {beta: dq * envelope for beta, dq in
+                      _polynomial_partials(t.polynomial, x, order).items()}
+            lowest = order - max(sum(beta) for beta in scaled)
+            hermite = _hermite_factors(u, t.precision, order, lowest)
             for row, alpha in zip(out, alphas):
-                row += t.coefficient * polys[alpha].evaluate(pts) * envelope
+                for beta, dq in scaled.items():
+                    gamma = tuple(a - b for a, b in zip(alpha, beta))
+                    if min(gamma) >= 0:
+                        weight = math.prod(map(math.comb, alpha, beta))
+                        row += weight * hermite[gamma] * dq
         return out
 
     def directional_derivative(self, xi: np.ndarray, order: int = 1) -> "AnalyticField":

@@ -26,6 +26,7 @@ from .fields import (
     GridField,
     NumericalFailureError,
     SmoothnessParams,
+    _abs_power,
     directional_weight_matrix,
     multi_indices,
 )
@@ -148,7 +149,9 @@ def _integer_energies(samples, p: float, directions: np.ndarray) -> np.ndarray:
     weighted Gram matrix G = R^t R of the partials, with R the triangular
     factor of the weighted samples: |R W(xi)^t|^2 is nonnegative, and
     exactly 0 where W(xi) meets only all-zero partials, whose columns of R
-    are exactly zero.  Other p sweep the directions in blocks.
+    are exactly zero.  Other p take the points in blocks that hold every
+    direction for about _SWEEP_BLOCK // (direction count) points, so the
+    partials are read once and each block's |derivative|^p stays in cache.
     """
     alphas, mat, weights = samples
     W = directional_weight_matrix(directions, alphas)
@@ -157,11 +160,13 @@ def _integer_energies(samples, p: float, directions: np.ndarray) -> np.ndarray:
         values = np.sum((W @ r.T) ** 2, axis=1)
     else:
         n_pts = mat.shape[1]
-        values = np.empty(W.shape[0])
-        block = max(1, _SWEEP_BLOCK // max(n_pts, 1))
-        for lo in range(0, W.shape[0], block):
-            directional = W[lo:lo + block] @ mat
-            values[lo:lo + block] = np.abs(directional) ** p @ weights
+        values = np.zeros(W.shape[0])
+        block = max(1, _SWEEP_BLOCK // W.shape[0])
+        work = np.empty((W.shape[0], min(block, n_pts)))
+        for lo in range(0, n_pts, block):
+            directional = W @ mat[:, lo:lo + block]
+            _abs_power(directional, p, work[:, :directional.shape[1]])
+            values += directional @ weights[lo:lo + block]
     if not np.all(np.isfinite(values)):
         raise NumericalFailureError("non-finite directional energy")
     return values
@@ -607,10 +612,15 @@ def _one_d_seminorm_power(field: AnalyticField, params: SmoothnessParams,
     """p-th power of the semi-norm of a 1-D field.
 
     The unit sphere in one dimension is the pair {-1, +1}, so the
-    difference branch is twice the one-sided radial energy.
+    difference branch is twice the one-sided radial energy: exact at even
+    p, else swept along a lengthened line.
     """
     if params.fractional:
         order = params.difference_order
+        exact = exact_directional_energies(field, np.array([[1.0]]), params.s,
+                                           params.p, order)
+        if exact is not None:
+            return 2.0 * float(exact[0][0])
         t_sep = _SEPARATION_FACTOR * half_width
         long_hw = half_width + 0.5 * order * t_sep
         long_n = int(math.ceil(_SLICE_NODES * long_hw / half_width))

@@ -1,6 +1,7 @@
-"""The closed-form kernels of the integer branch against their literal
-forms: the 2-D top eigenpair of T^t H T against eigh, and the p = 2
-directional energies against |W(xi) @ partials|^2 summed with the weights."""
+"""The kernels of the integer branch against their literal forms: the 2-D
+top eigenpair of T^t H T against eigh, and the directional energies (the
+p = 2 Gram form and the point-blocked sum at other p) against
+|W(xi) @ partials|^p summed with the weights."""
 
 import numpy as np
 import pytest
@@ -123,3 +124,28 @@ def test_p2_energy_of_a_dead_direction_is_exactly_zero(order, bundle2):
     profile = directional_profile(ridge, SmoothnessParams(float(order), 2.0),
                                   bundle2)
     assert profile.degenerate
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_blocked_energies_match_the_literal_sum(dimension, order, p):
+    rng = np.random.default_rng(1000 * dimension + 10 * order + int(2 * p))
+    field = _random_field(rng, dimension, 2, 2)
+    quads = _LEAN[dimension]
+    samples = _derivative_samples(field, order, quads)
+    directions = quads.sphere.nodes
+    np.testing.assert_allclose(_integer_energies(samples, p, directions),
+                               _literal_energies(samples, p, directions),
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("order", [1, 2])
+def test_blocked_energies_on_a_grid_field(order, p):
+    # 24^3 points against 128 directions: 27 blocks of 512 points
+    samples = _derivative_samples(weak_grid_field(24), order, _LEAN[3])
+    directions = build_sphere_quadrature(3, 8).nodes
+    np.testing.assert_allclose(_integer_energies(samples, p, directions),
+                               _literal_energies(samples, p, directions),
+                               rtol=1e-13, atol=0.0)
