@@ -29,9 +29,7 @@ from .sl_opt import (DirectionalBoundReport, OptimizerOptions, OptimizerTrace,
                      directional_lower_bound_check, matrix_exp, minimize,
                      numeric_gradient, objective, polar_align,
                      random_unimodular, sl_basis)
-from .suites import (CheckSpec, run_suite, suite_core_identities,
-                     suite_inequalities, suite_no_improvement,
-                     suite_optimizer)
+from .suites import CheckSpec, run_suite
 
 __version__ = "1.0.0"
 

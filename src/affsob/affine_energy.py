@@ -131,8 +131,7 @@ def affine_energy(field, params: SmoothnessParams, quads: QuadratureBundle, *,
     if not monitor_resolution:
         return result
     fine = QuadratureBundle(quads.dimension, 2 * quads.sphere_resolution,
-                            quads.box_nodes, quads.box_half_width,
-                            quads.radial_spec)
+                            quads.box_nodes, quads.radial_spec)
     fine_profile = directional_profile(field, params, fine)
     fine_result = _aggregate(fine_profile, spec, params)
     drift = 0.0

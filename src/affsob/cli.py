@@ -22,7 +22,7 @@ from .fields import NumericalFailureError
 from .reporting import write_plot_csv
 from .seminorms import directional_profile, seminorm
 from .sl_opt import minimize
-from .suites import run_suite, run_suite_with_series, suite_names
+from .suites import run_suite, suite_names
 
 _TRACE_HEADER = "iteration,objective,grad_norm,step_size,transform_hash"
 
@@ -178,22 +178,15 @@ def _cmd_report(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_passed = True
-    plot_rows = {"ratio_vs_R": [], "trace_vs_iteration": [],
-                 "e_vs_shear": []}
+    plot_rows = {}
     for name in suite_names():
-        report, series = run_suite_with_series(name, scale=args.scale,
-                                               seed=args.seed)
+        report = run_suite(name, scale=args.scale, seed=args.seed)
         print(report.summary())
         report.write_csv(out_dir / f"{name}.csv",
                          include_seconds=args.timing)
         all_passed = all_passed and report.passed
-        for row in series:
-            if row[0].startswith("noimpro"):
-                plot_rows["ratio_vs_R"].append(row)
-            elif row[0] == "aniso-objective":
-                plot_rows["trace_vs_iteration"].append(row)
-            else:
-                plot_rows["e_vs_shear"].append(row)
+        for stem, rows in report.series.items():
+            plot_rows.setdefault(stem, []).extend(rows)
     for stem, rows in plot_rows.items():
         write_plot_csv(out_dir / f"{stem}.csv", rows)
     print(f"wrote {len(suite_names())} suite tables and "

@@ -23,8 +23,7 @@ class ConfigError(ValueError):
     pass
 
 
-_QUAD_KEYS = {"box_halfwidth", "box_nodes", "sphere_nodes",
-              "t_min", "t_max", "t_panels"}
+_QUAD_KEYS = {"box_nodes", "sphere_nodes", "t_panels"}
 _OPT_KEYS = {f.name for f in dataclass_fields(OptimizerOptions)}
 _TOP_KEYS = {"dimension", "s", "p", "field", "quadrature", "optimizer"}
 
@@ -44,16 +43,12 @@ def _build_quadrature(dimension: int, raw: dict | None) -> QuadratureBundle:
     unknown = set(raw) - _QUAD_KEYS
     if unknown:
         raise ConfigError(f"unknown quadrature keys: {sorted(unknown)}")
-    default = RadialSpec()
     try:
-        spec = RadialSpec(t_min=raw.get("t_min", default.t_min),
-                          t_max=raw.get("t_max", default.t_max),
-                          panels=raw.get("t_panels", default.panels))
+        spec = RadialSpec(panels=raw.get("t_panels", RadialSpec().panels))
         return QuadratureBundle.default(
             dimension,
             box_nodes=raw.get("box_nodes"),
             sphere_resolution=raw.get("sphere_nodes"),
-            box_half_width=raw.get("box_halfwidth"),
             radial_spec=spec)
     except ValueError as exc:
         raise ConfigError(f"bad quadrature: {exc}") from exc

@@ -61,15 +61,13 @@ def ridge_member(scale: float) -> AnalyticField:
     return AnalyticField.gaussian(2, precision=np.diag([w1 ** -2, w2 ** -2]))
 
 
-def strong_shear_members(count: int | None = None,
-                         seed: int | None = None) -> list[tuple[float, AnalyticField]]:
+def strong_shear_members() -> list[tuple[float, AnalyticField]]:
     """Radial profile composed with strong x-shears; these members leave
     the first coordinate direction with a provably-too-small energy share."""
     spec = load_family_spec()["strong_shears"]
-    count = int(spec["count"]) if count is None else count
-    seed = int(spec["seed"]) if seed is None else seed
-    rng = np.random.default_rng(seed)
-    sigmas = np.sort(rng.uniform(spec["sigma_low"], spec["sigma_high"], count))
+    rng = np.random.default_rng(int(spec["seed"]))
+    sigmas = np.sort(rng.uniform(spec["sigma_low"], spec["sigma_high"],
+                                 int(spec["count"])))
     out = []
     for sigma in sigmas:
         shear = np.array([[1.0, sigma], [0.0, 1.0]])

@@ -434,7 +434,7 @@ class AnalyticField:
         return terms
 
     def line_values(self, points: np.ndarray, xi: np.ndarray,
-                    taus: np.ndarray, max_block: int = 6_000_000) -> np.ndarray:
+                    taus: np.ndarray) -> np.ndarray:
         """Evaluate f(points + tau * xi) for every tau, shape (K, P).
 
         The Gaussian exponent along the line is quadratic in tau and the
@@ -445,14 +445,8 @@ class AnalyticField:
         pts, _ = _as_matrix(points, self.dimension)
         terms = self._line_terms(pts, np.asarray(xi, dtype=float))
         taus = np.asarray(taus, dtype=float)
-        P, K = pts.shape[0], taus.shape[0]
-        out = np.empty((K, P))
-        block = max(1, min(K, int(max_block // max(P, 1)) or 1))
-        buffers = _line_buffers(terms, (block, P))
-        for lo in range(0, K, block):
-            ts = taus[lo:lo + block]
-            out[lo:lo + ts.shape[0]] = _sum_lines(terms, ts, buffers)
-        return out
+        return _sum_lines(terms, taus,
+                          _line_buffers(terms, (taus.shape[0], pts.shape[0])))
 
     def difference_lp_samples(self, xi: np.ndarray, ts: np.ndarray, order: int,
                               p: float, nodes: np.ndarray,

@@ -23,13 +23,20 @@ __all__ = [
     "gauss_legendre_nodes",
     "radial_from_samples",
     "pushforward_weight",
+    "BOX_HALF_WIDTH",
+    "T_MIN",
+    "T_MAX",
 ]
 
 # nodes per unit of (half_width * sqrt(curvature)); calibrated so the
 # default cube (L=8, unit Gaussian) gets the spec defaults below
 _DENSITY = {2: 12.0, 3: 6.0}
 _DEFAULT_NODES = {1: 192, 2: 96, 3: 48}
-_DEFAULT_HALF_WIDTH = 8.0
+# half width of the default cube; every box is fitted relative to it
+BOX_HALF_WIDTH = 8.0
+# the radial rule's full range; a RadialSpec sets its panel count
+T_MIN = 1e-4
+T_MAX = 1e3
 _MAX_NODES_PER_AXIS = 640
 # Gauss-Legendre nodes per log-spaced panel of the radial rule
 _PANEL_ORDER = 8
@@ -39,13 +46,6 @@ def _check_count(name: str, value, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
             or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _check_width(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not (math.isfinite(value) and value > 0):
-        raise ValueError(
-            f"{name} must be a positive finite number, got {value!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,18 +94,18 @@ class BoxQuadrature:
         return self.half_widths.shape[0]
 
     @classmethod
-    def fitted(cls, field: AnalyticField, base_half_width: float | None = None,
+    def fitted(cls, field: AnalyticField,
                base_nodes: int | None = None) -> "BoxQuadrature":
         """Box aligned with the field's spread, sized so the declared decay
         at the faces is at the same level as for the default cube."""
         n = field.dimension
-        L0 = _DEFAULT_HALF_WIDTH if base_half_width is None else float(base_half_width)
         m0 = _DEFAULT_NODES[n] if base_nodes is None else int(base_nodes)
         env = field.covariance_envelope()
         eigval, eigvec = np.linalg.eigh(env)
         eigval = np.clip(eigval, 1e-8, None)
         pad = 1.0 + 0.06 * field.max_poly_degree()
-        half_widths = np.minimum(L0 * np.sqrt(eigval) * pad, 4.0 * L0)
+        half_widths = np.minimum(BOX_HALF_WIDTH * np.sqrt(eigval) * pad,
+                                 4.0 * BOX_HALF_WIDTH)
         density = _DENSITY[n] * m0 / _DEFAULT_NODES[n]
         nodes = []
         for i in range(n):
@@ -132,19 +132,16 @@ def _frame_through(xi: np.ndarray) -> np.ndarray:
     return np.eye(n) - 2.0 * np.outer(v, v) / nv
 
 
-def _support_widths(field: AnalyticField, frame: np.ndarray,
-                    base_half_width: float | None) -> np.ndarray:
+def _support_widths(field: AnalyticField, frame: np.ndarray) -> np.ndarray:
     """Half widths of the field's effective support along the frame axes:
     the support function of its spread ellipsoid, padded for polynomials."""
-    L0 = _DEFAULT_HALF_WIDTH if base_half_width is None else float(base_half_width)
     env = field.covariance_envelope()
     pad = 1.0 + 0.06 * field.max_poly_degree()
     spread = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", frame.T, env, frame.T), 1e-8, None))
-    return np.minimum(L0 * pad * spread, 4.0 * L0)
+    return np.minimum(BOX_HALF_WIDTH * pad * spread, 4.0 * BOX_HALF_WIDTH)
 
 
 def directional_box(field: AnalyticField, xi: np.ndarray, order: int,
-                    base_half_width: float | None = None,
                     node_scale: float = 1.0) -> tuple[BoxQuadrature, float]:
     """Box aligned with a sweep direction, elongated for centered differences.
 
@@ -159,7 +156,7 @@ def directional_box(field: AnalyticField, xi: np.ndarray, order: int,
     """
     frame = _frame_through(np.asarray(xi, dtype=float))
     n = frame.shape[0]
-    widths = _support_widths(field, frame, base_half_width)
+    widths = _support_widths(field, frame)
     t_sep = _SEPARATION_FACTOR * widths[0]
     widths[0] += 0.5 * order * t_sep
     density = _DENSITY[n] * node_scale
@@ -256,18 +253,12 @@ def build_sphere_quadrature(dimension: int, resolution: int) -> SphereQuadrature
 
 @dataclass(frozen=True)
 class RadialSpec:
-    """Parameters for the singular radial rule before a field is known."""
+    """Panel count of the singular radial rule over [T_MIN, T_MAX], set
+    before a field is known."""
 
-    t_min: float = 1e-4
-    t_max: float = 1e3
     panels: int = 40
 
     def __post_init__(self):
-        _check_width("t_min", self.t_min)
-        _check_width("t_max", self.t_max)
-        if not self.t_min < self.t_max:
-            raise ValueError("t_min must be less than t_max, got "
-                             f"{self.t_min} and {self.t_max}")
         _check_count("panels", self.panels, 1)
 
 
@@ -291,11 +282,11 @@ class RadialQuadrature:
 
     @classmethod
     def for_range(cls, spec: RadialSpec, t_max: float) -> "RadialQuadrature":
-        """Panels over [t_min, t_max] at the spec's per-decade density."""
-        t_max = max(t_max, spec.t_min * 10.0)
-        ratio = math.log(t_max / spec.t_min) / math.log(spec.t_max / spec.t_min)
+        """Panels over [T_MIN, t_max] at the spec's per-decade density."""
+        t_max = max(t_max, T_MIN * 10.0)
+        ratio = math.log(t_max / T_MIN) / math.log(T_MAX / T_MIN)
         panels = max(8, int(math.ceil(spec.panels * ratio)))
-        return cls(spec.t_min, t_max, panels)
+        return cls(T_MIN, t_max, panels)
 
 
 def radial_from_samples(samples: np.ndarray, s: float, p: float, order: int,
@@ -343,39 +334,34 @@ def pushforward_weight(matrix: np.ndarray, omega: np.ndarray) -> float:
 class QuadratureBundle:
     """Box + sphere + radial settings used by one energy computation.
 
-    The base box settings are kept so the box can be refitted when a
+    The base box node count is kept so the box can be refitted when a
     computation composes the field with a transformation.
     """
 
     dimension: int
     sphere_resolution: int
     box_nodes: int
-    box_half_width: float
     radial_spec: RadialSpec = dataclass_field(default_factory=RadialSpec)
 
     def __post_init__(self):
         _check_count("box_nodes", self.box_nodes, 1)
-        _check_width("box_half_width", self.box_half_width)
         _check_count("sphere_resolution", self.sphere_resolution, 4)
         self.sphere = build_sphere_quadrature(self.dimension, self.sphere_resolution)
 
     @classmethod
     def default(cls, dimension: int, box_nodes: int | None = None,
                 sphere_resolution: int | None = None,
-                box_half_width: float | None = None,
                 radial_spec: RadialSpec | None = None) -> "QuadratureBundle":
         return cls(
             dimension,
             (64 if dimension == 2 else 24) if sphere_resolution is None
             else sphere_resolution,
             _DEFAULT_NODES[dimension] if box_nodes is None else box_nodes,
-            _DEFAULT_HALF_WIDTH if box_half_width is None else box_half_width,
             RadialSpec() if radial_spec is None else radial_spec,
         )
 
     def box_for(self, field: AnalyticField) -> BoxQuadrature:
-        return BoxQuadrature.fitted(field, base_half_width=self.box_half_width,
-                                    base_nodes=self.box_nodes)
+        return BoxQuadrature.fitted(field, base_nodes=self.box_nodes)
 
     def radial_range(self, t_max: float) -> RadialQuadrature:
         return RadialQuadrature.for_range(self.radial_spec, t_max)
@@ -383,17 +369,12 @@ class QuadratureBundle:
     def directional_box_for(self, field: AnalyticField, xi: np.ndarray,
                             order: int) -> tuple[BoxQuadrature, float]:
         scale = self.box_nodes / _DEFAULT_NODES[self.dimension]
-        return directional_box(field, xi, order,
-                               base_half_width=self.box_half_width,
-                               node_scale=scale)
+        return directional_box(field, xi, order, node_scale=scale)
 
     def scaled(self, factor: float) -> "QuadratureBundle":
-        spec = RadialSpec(self.radial_spec.t_min, self.radial_spec.t_max,
-                          max(4, int(round(self.radial_spec.panels * factor))))
         return QuadratureBundle(
             self.dimension,
             max(4, int(round(self.sphere_resolution * factor))),
             max(8, int(round(self.box_nodes * factor))),
-            self.box_half_width,
-            spec,
+            RadialSpec(max(4, int(round(self.radial_spec.panels * factor)))),
         )

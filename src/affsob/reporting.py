@@ -38,8 +38,12 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
+    """A suite's check rows, and the (series, x, y) rows it feeds to plots,
+    keyed by the stem of the plot file each list goes to."""
+
     suite: str
     checks: list = dataclass_field(default_factory=list)
+    series: dict = dataclass_field(default_factory=dict)
 
     @property
     def passed(self) -> bool:

@@ -32,6 +32,7 @@ from .fields import (
 )
 from .quadrature import (
     _SEPARATION_FACTOR,
+    BOX_HALF_WIDTH,
     BoxQuadrature,
     QuadratureBundle,
     SphereQuadrature,
@@ -215,9 +216,8 @@ def _profile_for(field, params: SmoothnessParams, quads: QuadratureBundle,
 
 
 def _thread_count() -> int:
-    """Worker threads for the verification suites and for the directions of
-    one swept profile: AFFSOB_THREADS when it is a positive integer, else
-    min(4, CPU count)."""
+    """Worker threads for the directions of one swept profile:
+    AFFSOB_THREADS when it is a positive integer, else min(4, CPU count)."""
     raw = os.environ.get("AFFSOB_THREADS")
     if raw:
         try:
@@ -660,12 +660,12 @@ def slice_seminorm_crosscheck(field: AnalyticField, params: SmoothnessParams,
     if params.fractional:
         lhs *= 2.0
 
-    hw = quads.box_half_width
-    other_pts, other_wts = gauss_legendre_nodes(hw, _SLICE_TRANSVERSE_NODES)
+    other_pts, other_wts = gauss_legendre_nodes(BOX_HALF_WIDTH,
+                                                _SLICE_TRANSVERSE_NODES)
     rhs = 0.0
     for u, w in zip(other_pts, other_wts):
         piece = field.restrict(axis=axis, fixed=np.array([u]))
-        rhs += w * _one_d_seminorm_power(piece, params, quads, hw)
+        rhs += w * _one_d_seminorm_power(piece, params, quads, BOX_HALF_WIDTH)
     return lhs, float(rhs)
 
 

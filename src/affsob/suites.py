@@ -7,20 +7,17 @@ non-explicit constants by the empirical protocol: the constant must be
 finite, stable across the frozen family, and must drift by at most the
 tolerance when every quadrature resolution is doubled.
 
-Checks inside a suite are independent and run on a thread pool sized by the
-AFFSOB_THREADS environment variable (seminorms._thread_count, which also
-sizes the direction fan-out of a swept profile).  Each check derives its
-randomness from the suite seed alone, so reports are identical across
-thread counts.
+Checks inside a suite run in order on the caller's thread, and each one
+derives its randomness from the suite seed alone.  A suite that feeds a plot
+hands its series over on the report, keyed by the plot file.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +30,7 @@ from .fields import SmoothnessParams
 from .quadrature import (QuadratureBundle, RadialSpec, build_sphere_quadrature,
                          pushforward_weight)
 from .reporting import CheckResult, VerificationReport
-from .seminorms import (_thread_count, directional_energy,
+from .seminorms import (DirectionalEnergyProfile, directional_energy,
                         directional_profile, lp_norm, seminorm,
                         slice_seminorm_crosscheck, slicing_bounds)
 from .sl_opt import (OptimizerOptions, descent_step,
@@ -86,52 +83,29 @@ class CheckSpec:
                            bool(ok and extra_passed), None, note)
 
 
-class _ProfileCache:
-    """Thread-safe memo for directional profiles shared across checks.
-
-    Values are pure functions of the key, so a lost race recomputes the
-    identical profile and the first insert wins; results never depend on
-    scheduling.  Every cached consumer reads only the energies, so a
-    profile is kept without its derivative samples.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._data = {}
-
-    def get(self, key, compute):
-        with self._lock:
-            if key in self._data:
-                return self._data[key]
-        value = replace(compute(), samples=None)
-        with self._lock:
-            return self._data.setdefault(key, value)
+def _energy_profile(field, params: SmoothnessParams,
+                    quads: QuadratureBundle) -> DirectionalEnergyProfile:
+    """The profile a suite memoizes: every cached consumer reads only the
+    energies, so it is kept without its derivative samples."""
+    return replace(directional_profile(field, params, quads), samples=None)
 
 
-def _run_job(job):
-    t0 = time.perf_counter()
-    rows = job()
-    dt = time.perf_counter() - t0
-    rows = rows if isinstance(rows, list) else [rows]
-    for r in rows:
-        if r.seconds is None:
+def _collect(suite: str, jobs, series: dict | None = None
+             ) -> VerificationReport:
+    """Run the jobs in order; the rows of one job share its wall time."""
+    checks = []
+    for job in jobs:
+        t0 = time.perf_counter()
+        rows = job()
+        dt = time.perf_counter() - t0
+        rows = rows if isinstance(rows, list) else [rows]
+        for r in rows:
             r.seconds = round(dt / len(rows), 6)
-    return rows
-
-
-def _collect(suite: str, jobs) -> VerificationReport:
-    workers = min(_thread_count(), len(jobs)) or 1
-    if workers == 1:
-        batches = [_run_job(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_job, job) for job in jobs]
-            batches = [f.result() for f in futures]
-    checks = [row for batch in batches for row in batch]
+        checks += rows
     ids = [c.check_id for c in checks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate check ids in suite " + suite)
-    return VerificationReport(suite, checks)
+    return VerificationReport(suite, checks, series or {})
 
 
 def _fmt(x: float) -> str:
@@ -146,15 +120,16 @@ _CROSSCHECK_MEMBERS = ("radial", "aniso", "hermite")
 _CROSSCHECK_PAIRS = ((0.5, 2.0), (1.0, 2.0))
 
 
-def _core_impl(scale: float = 1.0, seed: int = 0):
+def _core_identities(scale: float, seed: int) -> VerificationReport:
+    """Affine invariance, pushforward, Jensen, radial equality, scaling,
+    slice cross-checks over the standard family."""
     fam = standard_family()
     bundle = QuadratureBundle.default(2).scaled(scale)
-    cache = _ProfileCache()
-    shared: dict = {}
+    series: dict = {}
 
+    @functools.cache
     def prof(name, s, p):
-        return cache.get((name, s, p), lambda: directional_profile(
-            fam[name], SmoothnessParams(s, p), bundle))
+        return _energy_profile(fam[name], SmoothnessParams(s, p), bundle)
 
     jobs = []
 
@@ -240,15 +215,15 @@ def _core_impl(scale: float = 1.0, seed: int = 0):
 
         def job():
             gaps = []
-            series = []
+            points = []
             for sigma in (1, 2, 4):
                 name = f"shear{sigma}"
                 pr = prof(name, 1.0, 2.0)
                 energy = affine_energy(fam[name], SmoothnessParams(1.0, 2.0),
                                        bundle, profile=pr).value
                 gaps.append(pr.integrate() ** 0.5 - energy)
-                series.append(("E-vs-shear", float(sigma), energy))
-            shared["shear_series"] = series
+                points.append(("E-vs-shear", float(sigma), energy))
+            series["e_vs_shear"] = points
             increments = np.diff(gaps)
             return spec.row("core", float(increments.min()), 0.0,
                             note="gaps " + " ".join(_fmt(g) for g in gaps))
@@ -324,14 +299,7 @@ def _core_impl(scale: float = 1.0, seed: int = 0):
     jobs.append(sandwich_job(2.0))
     jobs.append(sandwich_job(1.5))
 
-    report = _collect("core", jobs)
-    return report, shared.get("shear_series", [])
-
-
-def suite_core_identities(scale: float = 1.0, seed: int = 0) -> VerificationReport:
-    """Affine invariance, pushforward, Jensen, radial equality, scaling,
-    slice cross-checks over the standard family."""
-    return _core_impl(scale, seed)[0]
+    return _collect("core", jobs, series)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +312,9 @@ def _shear_matrix(sigma: float) -> np.ndarray:
     return np.array([[1.0, sigma], [0.0, 1.0]])
 
 
-def _ineq_impl(scale: float = 1.0, seed: int = 0):
+def _inequalities(scale: float, seed: int) -> VerificationReport:
+    """Embedding, ordering, interpolation, reverse, and weak-norm constants
+    under the resolution-doubling protocol."""
     fam = standard_family()
     base = QuadratureBundle.default(
         2, box_nodes=36, sphere_resolution=32,
@@ -352,12 +322,11 @@ def _ineq_impl(scale: float = 1.0, seed: int = 0):
     tiers = {"base": base, "doubled": base.scaled(2.0)}
     ibase = QuadratureBundle.default(2).scaled(scale)
     itiers = {"base": ibase, "doubled": ibase.scaled(2.0)}
-    cache = _ProfileCache()
 
+    @functools.cache
     def prof(name, s, p, tier):
         table = itiers if float(s).is_integer() else tiers
-        return cache.get((name, s, p, tier), lambda: directional_profile(
-            fam[name], SmoothnessParams(s, p), table[tier]))
+        return _energy_profile(fam[name], SmoothnessParams(s, p), table[tier])
 
     def energy(name, s, p, tier):
         table = itiers if float(s).is_integer() else tiers
@@ -513,14 +482,7 @@ def _ineq_impl(scale: float = 1.0, seed: int = 0):
 
     jobs.append(weak_job())
 
-    report = _collect("inequalities", jobs)
-    return report, []
-
-
-def suite_inequalities(scale: float = 1.0, seed: int = 0) -> VerificationReport:
-    """Embedding, ordering, interpolation, reverse, and weak-norm constants
-    under the resolution-doubling protocol."""
-    return _ineq_impl(scale, seed)[0]
+    return _collect("inequalities", jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -529,20 +491,19 @@ def suite_inequalities(scale: float = 1.0, seed: int = 0) -> VerificationReport:
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _optimizer_impl(scale: float = 1.0, seed: int = 0):
+def _optimizer(scale: float, seed: int) -> VerificationReport:
+    """Minimizer oracles, criticality residuals, directional bounds, and the
+    descent construction on the sheared family."""
     fam = standard_family()
     bundle = QuadratureBundle.default(2).scaled(scale)
     opts = OptimizerOptions()
     params = SmoothnessParams(1.0, 2.0)
     sigma = bundle.sphere.area
-    shared: dict = {}
-    lock = threading.Lock()
+    series: dict = {}
 
+    @functools.cache
     def minimized(name):
-        with lock:
-            if name not in shared:
-                shared[name] = minimize(fam[name], params, opts, bundle)
-            return shared[name]
+        return minimize(fam[name], params, opts, bundle)
 
     target_matrix = np.diag([2.0 ** -0.5, 2.0 ** 0.5])
 
@@ -553,7 +514,9 @@ def _optimizer_impl(scale: float = 1.0, seed: int = 0):
 
         def job():
             T, value, trace = minimized("aniso")
-            shared["trace"] = trace
+            series["trace_vs_iteration"] = [
+                ("aniso-objective", float(i), v)
+                for i, v in enumerate(trace.objectives)]
             return spec.row("optimizer", value, _SQRT_PI,
                             note=f"{len(trace.objectives)} iterations, "
                                  f"{trace.terminal_reason}")
@@ -684,19 +647,7 @@ def _optimizer_impl(scale: float = 1.0, seed: int = 0):
              bound_job(), sandwich_job("aniso"), sandwich_job("radial"),
              radial_job(), shear_value_job(), descent_job()]
 
-    report = _collect("optimizer", jobs)
-    trace = shared.get("trace")
-    series = []
-    if trace is not None:
-        series = [("aniso-objective", float(i), v)
-                  for i, v in enumerate(trace.objectives)]
-    return report, series
-
-
-def suite_optimizer(scale: float = 1.0, seed: int = 0) -> VerificationReport:
-    """Minimizer oracles, criticality residuals, directional bounds, and the
-    descent construction on the sheared family."""
-    return _optimizer_impl(scale, seed)[0]
+    return _collect("optimizer", jobs, series)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +663,9 @@ def _noimpro_ratio(member, q, params, bundle):
     return numerator / affine_energy(member, params, bundle, profile=pr).value
 
 
-def _noimpro_impl(scale: float = 1.0, seed: int = 0):
+def _no_improvement(scale: float, seed: int) -> VerificationReport:
+    """Thin-ridge blow-up of the mixed-norm ratio, with the bounded control
+    at q = p."""
     # the thin-ridge profiles concentrate in an angular window of width
     # about R * axis_width / transverse_width, so the sphere rule needs
     # this much resolution before the control experiment stabilizes
@@ -720,9 +673,15 @@ def _noimpro_impl(scale: float = 1.0, seed: int = 0):
     params = SmoothnessParams(1.0, 1.0)
     from .family import ridge_member
 
-    def series(q):
-        return [(r, _noimpro_ratio(ridge_member(r), q, params, bundle))
-                for r in _NOIMPRO_RADII]
+    series: dict = {"ratio_vs_R": []}
+
+    def ratios(name, q):
+        """The ratio at every radius, recorded as the plot series `name`."""
+        values = [_noimpro_ratio(ridge_member(r), q, params, bundle)
+                  for r in _NOIMPRO_RADII]
+        series["ratio_vs_R"] += [(name, r, v)
+                                 for r, v in zip(_NOIMPRO_RADII, values)]
+        return values
 
     jobs = []
 
@@ -733,60 +692,39 @@ def _noimpro_impl(scale: float = 1.0, seed: int = 0):
                                   "monotone", 1e-9)
 
         def job():
-            data = series(4.0)
-            ratios = [v for _, v in data]
-            shared_series["q4"] = data
-            note = "ratios " + " ".join(_fmt(v) for v in ratios)
-            rows = [
-                blowup_spec.row("noimpro", ratios[-1] / ratios[0], 2.0,
+            values = ratios("noimpro-q4", 4.0)
+            note = "ratios " + " ".join(_fmt(v) for v in values)
+            return [
+                blowup_spec.row("noimpro", values[-1] / values[0], 2.0,
                                 note=note),
-                monotone_spec.row("noimpro", float(np.diff(ratios).min()),
+                monotone_spec.row("noimpro", float(np.diff(values).min()),
                                   0.0, note=note),
             ]
-            return rows
         return job
 
     def control_job():
         spec = CheckSpec("noimpro-control", "prop-no-impro", "drift", 0.20)
 
         def job():
-            data = series(1.0)
-            ratios = [v for _, v in data]
-            shared_series["control"] = data
-            return spec.row("noimpro", max(ratios), min(ratios),
-                            note="ratios " + " ".join(_fmt(v) for v in ratios))
+            values = ratios("noimpro-control", 1.0)
+            return spec.row("noimpro", max(values), min(values),
+                            note="ratios " + " ".join(_fmt(v) for v in values))
         return job
 
-    shared_series: dict = {}
     jobs += [main_job(), control_job()]
-    report = _collect("noimpro", jobs)
-    series_rows = [("noimpro-q4", r, v)
-                   for r, v in shared_series.get("q4", [])]
-    series_rows += [("noimpro-control", r, v)
-                    for r, v in shared_series.get("control", [])]
-    return report, series_rows
-
-
-def suite_no_improvement(scale: float = 1.0, seed: int = 0) -> VerificationReport:
-    """Thin-ridge blow-up of the mixed-norm ratio, with the bounded control
-    at q = p."""
-    return _noimpro_impl(scale, seed)[0]
+    return _collect("noimpro", jobs, series)
 
 
 _SUITES = {
-    "core": _core_impl,
-    "inequalities": _ineq_impl,
-    "optimizer": _optimizer_impl,
-    "noimpro": _noimpro_impl,
+    "core": _core_identities,
+    "inequalities": _inequalities,
+    "optimizer": _optimizer,
+    "noimpro": _no_improvement,
 }
 
 
 def run_suite(name: str, scale: float = 1.0, seed: int = 0) -> VerificationReport:
-    return run_suite_with_series(name, scale, seed)[0]
-
-
-def run_suite_with_series(name: str, scale: float = 1.0, seed: int = 0):
-    """(report, plot rows) for the report command, computing each suite once."""
+    """The named suite's report, with the plot series it feeds."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return _SUITES[name](scale, seed)
@@ -796,8 +734,4 @@ def suite_names() -> list:
     return list(_SUITES)
 
 
-__all__ = [
-    "CheckSpec", "run_suite", "run_suite_with_series", "suite_names",
-    "suite_core_identities", "suite_inequalities", "suite_optimizer",
-    "suite_no_improvement",
-]
+__all__ = ["CheckSpec", "run_suite", "suite_names"]

@@ -20,10 +20,9 @@ from affsob import (OptimizerOptions, QuadratureBundle, RadialSpec,
                     descent_step, directional_lower_bound_check,
                     directional_profile, lp_norm, minimize, polar_align,
                     pushforward_weight, random_frames, random_unimodular,
-                    seminorm, slice_seminorm_crosscheck, slicing_bounds,
-                    starred_seminorm, strong_shear_members, weak_grid_field,
-                    weak_quasinorm)
-from affsob import suite_inequalities, suite_no_improvement
+                    run_suite, seminorm, slice_seminorm_crosscheck,
+                    slicing_bounds, starred_seminorm, strong_shear_members,
+                    weak_grid_field, weak_quasinorm)
 from affsob.quadrature import build_sphere_quadrature
 
 SQRT_PI = np.sqrt(np.pi)
@@ -201,14 +200,14 @@ def test_axis_energy_two_routes_agree(family, bundle2, s, p):
 
 def test_inequality_suite_passes_at_reference_resolution():
     start = time.perf_counter()
-    report = suite_inequalities()
+    report = run_suite("inequalities")
     assert report.passed, report.summary() + "\n" + "\n".join(
         c.check_id + ": " + c.note for c in report.failures())
     assert time.perf_counter() - start < 900.0
 
 
 def test_no_improvement_suite_passes():
-    report = suite_no_improvement()
+    report = run_suite("noimpro")
     assert report.passed, report.summary()
 
 
@@ -257,8 +256,8 @@ def test_verification_cli_is_deterministic(tmp_path):
 
 def test_verification_cli_is_deterministic_across_thread_counts(
         tmp_path, monkeypatch):
-    # AFFSOB_THREADS sizes both the suites' pool and each swept profile's
-    # direction fan-out; neither may move a byte of the reports
+    # AFFSOB_THREADS sizes each swept profile's direction fan-out, which
+    # may not move a byte of the reports
     args = ["verify", "--suite", "all", "--scale", "0.5", "--seed", "0"]
     outs, codes = [], []
     for threads in ("1", "3"):
@@ -267,3 +266,27 @@ def test_verification_cli_is_deterministic_across_thread_counts(
         codes.append(cli_main(args + ["--out", str(outs[-1])]))
     assert codes[0] in (0, 1) and codes[1] == codes[0]
     _assert_same_reports(*outs)
+
+
+def test_report_cli_writes_verify_tables_and_plot_series(tmp_path):
+    # report runs each suite once: its tables are verify's, byte for byte,
+    # and each plot file carries exactly the series its suite feeds it
+    args = ["--scale", "0.5", "--seed", "0"]
+    verify, report = tmp_path / "verify", tmp_path / "report"
+    rc_verify = cli_main(["verify", "--suite", "all", "--out", str(verify)]
+                         + args)
+    rc_report = cli_main(["report", "--out", str(report)] + args)
+    assert rc_report == rc_verify
+    plots = {"e_vs_shear": {"E-vs-shear"},
+             "trace_vs_iteration": {"aniso-objective"},
+             "ratio_vs_R": {"noimpro-q4", "noimpro-control"}}
+    tables = sorted(p.name for p in verify.iterdir())
+    assert sorted(p.name for p in report.iterdir()) == sorted(
+        tables + [f"{stem}.csv" for stem in plots])
+    for name in tables:
+        assert filecmp.cmp(verify / name, report / name, shallow=False), name
+    for stem, series in plots.items():
+        lines = (report / f"{stem}.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert lines[0] == "series,x,y"
+        assert {line.split(",")[0] for line in lines[1:]} == series, stem

@@ -66,10 +66,13 @@ def test_config_rejects_bad_entries():
     ({"seed": 3}, "unknown config keys"),
     ({"optimizer": {"restarts": 1}}, "unknown optimizer keys"),
     ({"optimizer": {"grad_tol": 1e-8}}, "unknown optimizer keys"),
+    ({"quadrature": {"box_halfwidth": 8.0}}, "unknown quadrature keys"),
+    ({"quadrature": {"t_min": 1e-4}}, "unknown quadrature keys"),
+    ({"quadrature": {"t_max": 1e3}}, "unknown quadrature keys"),
 ])
 def test_config_rejects_settings_without_a_use(tmp_path, capsys, raw, match):
-    # the optimizer block sets the iteration limit only, and no seed
-    # enters an energy or a descent
+    # the optimizer block sets the iteration limit only, no seed enters an
+    # energy or a descent, and the box width and the radial range are fixed
     with pytest.raises(ConfigError, match=match):
         config_from_dict(raw)
     config = tmp_path / "run.json"
@@ -254,8 +257,8 @@ def test_cli_missing_config_is_a_config_error(capsys):
 
 @pytest.mark.parametrize("quadrature", [
     {"box_nodes": 0}, {"box_nodes": -5}, {"box_nodes": 24.5},
-    {"t_panels": -4}, {"sphere_nodes": 2}, {"box_halfwidth": -3},
-    {"t_min": 10, "t_max": 1}, {"t_min": 0}, {"t_max": float("inf")},
+    {"t_panels": -4}, {"sphere_nodes": 2}, {"box_nodes": True},
+    {"t_panels": 0}, {"t_panels": 2.5}, {"sphere_nodes": 8.5},
 ])
 def test_cli_bad_quadrature_value_is_a_config_error(tmp_path, capsys,
                                                     quadrature):

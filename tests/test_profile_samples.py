@@ -17,7 +17,7 @@ from affsob import (AnalyticField, PsiSpec, QuadratureBundle,
 from affsob.cli import cli_main
 from affsob.family import ridge_member, weak_grid_field
 from affsob.seminorms import _sample_objective
-from affsob.suites import _noimpro_ratio, _ProfileCache
+from affsob.suites import _energy_profile, _noimpro_ratio
 
 
 @pytest.fixture()
@@ -78,7 +78,7 @@ def test_slicing_estimate_rejects_a_frame_of_other_lengths(aniso, lean2):
 def test_cached_profiles_keep_no_samples(aniso, lean2):
     params = SmoothnessParams(1.0, 2.0)
     fresh = directional_profile(aniso, params, lean2)
-    cached = _ProfileCache().get("aniso", lambda: fresh)
+    cached = _energy_profile(aniso, params, lean2)
     assert fresh.samples is not None and cached.samples is None
     assert np.array_equal(cached.values, fresh.values)
     assert affine_energy(aniso, params, lean2, profile=cached) == \
@@ -87,8 +87,7 @@ def test_cached_profiles_keep_no_samples(aniso, lean2):
 
 def test_a_derivative_profile_without_samples_is_rejected(aniso, lean2):
     params = SmoothnessParams(1.0, 2.0)
-    bare = _ProfileCache().get(
-        "aniso", lambda: directional_profile(aniso, params, lean2))
+    bare = _energy_profile(aniso, params, lean2)
     with pytest.raises(ValueError, match="no derivative samples"):
         seminorm(aniso, params, lean2, profile=bare)
     with pytest.raises(ValueError, match="no derivative samples"):

@@ -187,8 +187,8 @@ def test_bundle_default_and_scaling():
 
 @pytest.mark.parametrize("settings", [
     {"box_nodes": 0}, {"box_nodes": 24.0}, {"box_nodes": True},
-    {"sphere_resolution": 3}, {"box_half_width": -3.0},
-    {"box_half_width": float("nan")},
+    {"sphere_resolution": 3}, {"sphere_resolution": 32.0},
+    {"sphere_resolution": True},
 ])
 def test_bundle_rejects_out_of_range_settings(settings):
     with pytest.raises(ValueError):
@@ -196,8 +196,7 @@ def test_bundle_rejects_out_of_range_settings(settings):
 
 
 @pytest.mark.parametrize("settings", [
-    {"t_min": 10.0, "t_max": 1.0}, {"t_min": 0.0}, {"t_max": math.inf},
-    {"panels": -4},
+    {"panels": 0}, {"panels": 20.0}, {"panels": True}, {"panels": -4},
 ])
 def test_radial_spec_rejects_out_of_range_settings(settings):
     with pytest.raises(ValueError):

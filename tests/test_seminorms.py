@@ -16,6 +16,7 @@ from affsob import (AnalyticField, GridField, QuadratureBundle, RadialSpec,
                     starred_seminorm, weak_quasinorm)
 from affsob.constants import random_frames
 from affsob.family import weak_grid_field
+from affsob.quadrature import BOX_HALF_WIDTH
 from affsob.seminorms import _one_d_seminorm_power
 
 E0 = np.array([1.0, 0.0])
@@ -151,12 +152,11 @@ def test_exact_slice_energy_matches_the_slice_sweep(family, bundle2, member,
     # a flat_ok copy of the same slice is refused by the exact engine, so
     # it runs the 1-D sweep that odd p use
     params = SmoothnessParams(s, p)
-    hw = bundle2.box_half_width
     for u in (-1.3, 0.0, 0.7):
         piece = family[member].restrict(axis=0, fixed=np.array([u]))
         swept = AnalyticField(1, piece.terms, flat_ok=True)
-        got = _one_d_seminorm_power(piece, params, bundle2, hw)
-        want = _one_d_seminorm_power(swept, params, bundle2, hw)
+        got = _one_d_seminorm_power(piece, params, bundle2, BOX_HALF_WIDTH)
+        want = _one_d_seminorm_power(swept, params, bundle2, BOX_HALF_WIDTH)
         assert got == pytest.approx(want, rel=1e-10)
 
 
