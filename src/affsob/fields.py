@@ -182,6 +182,18 @@ class Polynomial:
 # (step, node) pairs per block of the fused difference sweep: the block's
 # |Delta|^p array holds about this many doubles and stays in cache
 _SWEEP_BLOCK = 65536
+# contiguous step groups of the difference sweep; each group sweeps only
+# the nodes whose bounded contribution can reach its rows' sums
+_SWEEP_GROUPS = 3
+# below this many steps the bounds cost about as much as the pairs they
+# skip (measured on 2-D and 3-D boxes), so every pair is swept
+_PRUNE_MIN_STEPS = 8
+# a dropped node's contribution to a row may reach this share of the row's
+# sum; a row whose dropped nodes' bound exceeds it sweeps them too
+_DROP_TOLERANCE = 2.0 ** -52
+# what the dropped nodes of a group may add up to, as a share of its bound
+# totals; the totals overestimate the row sums, so it is set lower
+_DROP_SHARE = 2.0 ** -58
 
 
 def _line_buffers(terms: list[tuple], shape: tuple[int, int]
@@ -248,6 +260,207 @@ def _abs_power(x: np.ndarray, p: float, work: np.ndarray) -> None:
             x *= work
         elif p != 1.0:
             np.power(x, p, out=x)
+
+
+def _sweep(terms: list[tuple], steps: np.ndarray, shifts: list[tuple],
+           middle_line: np.ndarray | None, p: float,
+           weights: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] |sum_l coeff_l f(x_j + offset_l t xi)|^p for every
+    step t, over the nodes x_j that `terms` (from _line_terms) describe.
+
+    One cache-blocked pass: the steps are taken in blocks of about
+    _SWEEP_BLOCK (step, node) pairs, and each block's |Delta|^p is reduced
+    against the weights by one matrix product.  The row count of a block
+    decides how the product groups its sums, so it is kept at
+    _SWEEP_BLOCK // P.  A block's rows are filled in pieces of about half
+    as many pairs: one _sum_lines call evaluates every shifted line of a
+    piece, and the difference is formed, in the order of the shifts, and
+    raised to the p-th power in place.  At even order >= 2 the middle shift
+    has offset 0, so its line is f on the nodes at every t: `middle_line`
+    holds it times its coefficient and is added to every piece.
+
+    The weights are positive, so a non-finite difference value gives a
+    non-finite reduced row, and then NumericalFailureError is raised.
+    """
+    K, P = steps.shape[0], weights.shape[0]
+    middle = None if middle_line is None else (len(shifts) - 1) // 2
+    offsets = np.array([offset for l, (offset, _) in enumerate(shifts)
+                        if l != middle])
+    block = max(1, min(K, _SWEEP_BLOCK // max(P, 1)))
+    piece = max(1, min(block, _SWEEP_BLOCK // max(2 * P, 1)))
+    buffers = _line_buffers(terms, (offsets.shape[0] * piece, P))
+    delta = np.empty((block, P))
+    out = np.empty(K)
+    for lo in range(0, K, block):
+        n = min(block, K - lo)
+        for start in range(0, n, piece):
+            taus = steps[lo + start:lo + min(start + piece, n)]
+            k = taus.shape[0]
+            rows = delta[start:start + k]
+            vals = _sum_lines(terms, np.outer(offsets, taus).ravel(), buffers)
+            first = 0
+            for l, (offset, coeff) in enumerate(shifts):
+                if l == middle:
+                    rows += middle_line
+                    continue
+                line = vals[first:first + k]
+                first += k
+                if l == 0:
+                    np.multiply(line, coeff, out=rows)
+                else:
+                    if coeff != 1.0:
+                        line *= coeff
+                    rows += line
+            _abs_power(rows, p, buffers[0][:k])
+        reduced = np.matmul(delta[:n], weights, out=out[lo:lo + n])
+        if not np.isfinite(reduced).all():
+            raise NumericalFailureError("non-finite difference values")
+    return out
+
+
+def _derivative_rows(rows: np.ndarray, b: np.ndarray, half_c: float,
+                     order: int) -> np.ndarray:
+    """Rows of Q with d^order/dtau^order [exp(E(tau)) P(tau)] =
+    exp(E(tau)) Q(tau), where P has the Taylor rows `rows` and
+    E'(tau) = -b - c tau: order steps of Q <- Q' - (b + c tau) Q."""
+    q = rows
+    for _ in range(order):
+        n = q.shape[0]
+        step = np.empty((n + 1, q.shape[1]))
+        np.multiply(q, -b, out=step[:n])
+        step[n] = 0.0
+        step[1:] -= (2.0 * half_c) * q
+        step[:n - 1] += np.arange(1.0, n)[:, None] * q[1:]
+        q = step
+    return q
+
+
+def _taylor_shift(rows: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Rows of P(shift + u) in powers of u from the rows of P(tau) in powers
+    of tau, one shift per column (repeated synthetic division)."""
+    out = rows.copy()
+    for k in range(rows.shape[0] - 1):
+        for j in range(rows.shape[0] - 2, k - 1, -1):
+            out[j] += shift * out[j + 1]
+    return out
+
+
+def _group_bounds(terms: list[tuple], reach: np.ndarray,
+                  order: int) -> np.ndarray:
+    """Per step group g and node x_j, two bounds on the centered difference
+    at the group's steps t, those with order * |t| / 2 <= reach[g], in one
+    array of shape (2, G, P):
+
+    [0, g, j] >= 2^order sup |f(x_j + sigma xi)| and
+    [1, g, j] >= sup |d_xi^order f(x_j + sigma xi)|, both over the segment
+    |sigma| <= reach[g].
+
+    Every shifted point of Delta^order_{t xi} f(x_j) lies on the segment
+    and the coefficients' sizes add up to 2^order, so |Delta| <= [0, g, j];
+    and Delta is t^order times a B-spline average of d_xi^order f over the
+    segment, so |Delta| <= |t|^order [1, g, j].
+
+    Along a line each term is exp(E(tau)) times a polynomial with the
+    Taylor rows of _line_terms, and the terms' bounds add up.  For c > 0,
+    E(tau) = E(v) - (tau - v)^2 c/2 about its vertex v, so over the segment
+    exp(E) is largest at the point nearest to v, a gap d = max(|v| -
+    reach, 0) away; otherwise (c = 0, or rounding below it on a flat field)
+    at an end.  A polynomial is at most sum_k |row_k| reach^k on the
+    segment, and the derivative's rows come from _derivative_rows.  For f
+    with c > 0 the rows are taken in powers of u = tau - v instead
+    (_taylor_shift), because about the node the rows of a node far from
+    the peak cancel there; |u|^k exp(-u^2 c/2) rises to its largest value
+    at |u| = sqrt(k / c) and falls beyond it, so over the segment it is at
+    most d^k exp(-d^2 c/2) when d is beyond that point, and that largest
+    value otherwise.
+    """
+    rho = reach[:, None]
+    bounds = np.zeros((2, rho.shape[0], terms[0][0].shape[0]))
+    for neg_half_a, b, half_c, rows in terms:
+        if half_c > 0.0:
+            vertex = b * (-0.5 / half_c)
+            peak = np.exp(neg_half_a - vertex * (b + half_c * vertex))
+            gap = np.maximum(np.abs(vertex) - rho, 0.0)
+            fall = np.exp(-half_c * gap * gap)
+            envelope = peak * fall
+            if rows.shape[0] == 1:
+                bounds[0] += np.abs(rows[0]) * envelope
+            else:
+                line = np.abs(_taylor_shift(rows, vertex))
+                bound = line[0] * fall
+                for k in range(1, rows.shape[0]):
+                    top = math.sqrt(0.5 * k / half_c)
+                    bound += line[k] * np.where(
+                        gap >= top, gap ** k * fall,
+                        top ** k * math.exp(-0.5 * k))
+                bounds[0] += peak * bound
+        else:
+            envelope = np.exp(neg_half_a + rho * np.abs(b) - half_c * rho * rho)
+            bound = np.abs(rows[-1])
+            for row in rows[-2::-1]:
+                bound = bound * rho + np.abs(row)
+            bounds[0] += envelope * bound
+        derivative = np.abs(_derivative_rows(rows, b, half_c, order))
+        bounds[1] += envelope * (rho ** np.arange(derivative.shape[0])
+                                 @ derivative)
+    bounds[0] *= 2.0 ** order
+    return bounds
+
+
+def _drop_plan(terms: list[tuple], lows: np.ndarray, highs: np.ndarray,
+               order: int, p: float, weights: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Nodes each step group [lows[g], highs[g]] may skip: (drop,
+    large_sum, small_sum), or None when a bound is not finite.
+
+    With the bounds of _group_bounds, a node's weighted bound at step t of
+    a group is min(large, t^(mp) small), where large = w bounds[0]^p and
+    small = w bounds[1]^p.  A node is dropped when large is at most
+    _DROP_SHARE / P of the group's bound total at its lowest step, and is
+    then charged to large_sum; and when t^(mp) small is at most that share
+    of the total at its highest step, and is then charged to small_sum (a
+    node can be charged to both).  For a step t of the group the dropped
+    nodes contribute at most large_sum + t^(mp) small_sum to its row.
+
+    The bounds are built in chunks of about _SWEEP_BLOCK / 4 (group, node)
+    pairs, so that their work arrays take about one sweep block; the
+    weighted bounds themselves are one (2 x groups) x P array.
+    """
+    reach = 0.5 * order * highs
+    low, high = (lows ** (order * p))[:, None], (highs ** (order * p))[:, None]
+    bounds = np.empty((2, lows.shape[0], weights.shape[0]))
+    low_total, high_total = np.zeros(lows.shape[0]), np.zeros(lows.shape[0])
+    size = max(1, _SWEEP_BLOCK // (4 * lows.shape[0]))
+    for lo in range(0, weights.shape[0], size):
+        part = slice(lo, lo + size)
+        chunk = _group_bounds([(neg_half_a[part], b[part], half_c, rows[:, part])
+                               for neg_half_a, b, half_c, rows in terms],
+                              reach, order)
+        _abs_power(chunk, p, np.empty_like(chunk))
+        chunk *= weights[part]
+        if not math.isfinite(chunk.sum()):
+            return None
+        bounds[:, :, part] = chunk
+        low_total += np.minimum(chunk[0], low * chunk[1]).sum(axis=1)
+        high_total += np.minimum(chunk[0], high * chunk[1]).sum(axis=1)
+    large, small = bounds
+    share = _DROP_SHARE / weights.shape[0]
+    charged_large = large <= (share * low_total)[:, None]
+    charged_small = small <= share * high_total[:, None] / high
+    return (charged_large | charged_small,
+            np.add.reduce(large, axis=1, where=charged_large),
+            np.add.reduce(small, axis=1, where=charged_small))
+
+
+def _step_groups(count: int) -> list[np.ndarray]:
+    """Contiguous groups of step indices: the last _SWEEP_GROUPS - 1 groups
+    take an eighth of the steps each and the first the rest.  With steps in
+    increasing order (the radial rule's) the narrow groups hold the large
+    steps, where the bounds over a group's span are least tight."""
+    size = -(-count // 8)
+    edges = [0] + [max(0, count - size * k) for k in range(_SWEEP_GROUPS - 1, 0, -1)]
+    return [np.arange(lo, hi) for lo, hi in zip(edges, edges[1:] + [count])
+            if hi > lo]
 
 
 @dataclass(frozen=True)
@@ -425,10 +638,11 @@ class AnalyticField:
             rows = []
             q = t.polynomial
             for k in range(t.polynomial.degree + 1):
+                if k:
+                    q = q.directional_derivative(xi)
+                    if q.is_zero:
+                        break
                 rows.append(q.evaluate(pts) / math.factorial(k))
-                q = q.directional_derivative(xi)
-                if q.is_zero:
-                    break
             terms.append((-0.5 * a, b, 0.5 * c,
                           t.coefficient * np.vstack(rows)))
         return terms
@@ -457,59 +671,73 @@ class AnalyticField:
         the integrand by order*t*xi/2 and leaves the full-space integral
         unchanged while halving the sweep excursion the box must cover.
 
-        One cache-blocked pass: the step sizes are taken in blocks of about
-        _SWEEP_BLOCK (step, node) pairs, and each block's |Delta|^p is
-        reduced against the weights by one matrix product.  That array is
-        the only block-sized one: its rows are filled in two half-block
-        pieces, each evaluating the order+1 shifted lines in half-block
-        work arrays, forming the difference and raising it to the p-th
-        power in place.  The row count of a block decides how the product
-        groups its sums, so it is kept at _SWEEP_BLOCK // P.  At even order
-        the middle shift has offset 0, so its line is f on the nodes at
-        every t; it is evaluated once, with the same per-element operations
-        as at tau = 0, and added to every piece.
+        Most (step, node) pairs of a box sit where every shifted copy of f
+        is below rounding, so the steps are split into _SWEEP_GROUPS
+        contiguous groups and each group sweeps (_sweep) only the nodes that
+        can move its sums.  _group_bounds bounds |Delta| per group and node
+        from the line coefficients, and _drop_plan picks the nodes to skip.
+        Each row then checks that the dropped nodes' bound is at most
+        _DROP_TOLERANCE times its sum over the kept nodes, and a row that
+        fails the check sweeps the dropped nodes too.  A sample is thus
+        within that share of its sum over every node, up to rounding; it
+        does not depend on the thread count, but its last digits are not
+        those of one sweep over every node.  Fewer than _PRUNE_MIN_STEPS
+        steps are swept over every node.  At even order the shift with
+        offset 0 is f on the nodes at every t; it is evaluated once.
 
         The weights are positive, so a non-finite difference value gives a
         non-finite reduced row, and then NumericalFailureError is raised.
-        Memory: one block of |Delta|^p and at most three half-block work
-        arrays; no (order+1)*K by P matrix of line values is built.
+        A bound that is not finite keeps every node, so that check still
+        sees every pair.  Memory: one block of |Delta|^p and its work
+        arrays at a time, the bounds, (2 x groups) x P, and a group's copy
+        of its kept nodes' line coefficients.
         """
         pts, _ = _as_matrix(nodes, self.dimension)
         terms = self._line_terms(pts, np.asarray(xi, dtype=float))
         ts = np.asarray(ts, dtype=float)
         weights = np.asarray(weights, dtype=float)
+        K, P = ts.shape[0], pts.shape[0]
+        if not terms or K == 0 or P == 0:
+            return np.zeros(K)
         shifts = [(l - order / 2.0, math.comb(order, l) * (-1.0) ** (order - l))
                   for l in range(order + 1)]
-        K, P = ts.shape[0], pts.shape[0]
-        block = max(1, min(K, _SWEEP_BLOCK // max(P, 1)))
-        piece = (block + 1) // 2
-        buffers = _line_buffers(terms, (piece, P))
-        middle = order // 2 if order >= 2 and order % 2 == 0 else None
-        if middle is not None:
-            middle_line = shifts[middle][1] * _sum_lines(
+        middle_line = None
+        if order >= 2 and order % 2 == 0:
+            middle_line = shifts[order // 2][1] * _sum_lines(
                 terms, np.zeros(1), _line_buffers(terms, (1, P)))
-        delta = np.empty((block, P))
+        if K < _PRUNE_MIN_STEPS:
+            return _sweep(terms, ts, shifts, middle_line, p, weights)
+        # |Delta| is even in t, so the bounds take |t|
+        steps = np.abs(ts)
+        groups = _step_groups(K)
+        starts = [rows[0] for rows in groups]
+        lows = np.minimum.reduceat(steps, starts)
+        highs = np.maximum.reduceat(steps, starts)
+        with np.errstate(all="ignore"):
+            plan = _drop_plan(terms, lows, highs, order, p, weights)
+        if plan is None:
+            return _sweep(terms, ts, shifts, middle_line, p, weights)
+
+        def sweep(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
+            """The rows' samples over the nodes with the indices `kept`."""
+            part = [(neg_half_a[kept], b[kept], half_c, line[:, kept])
+                    for neg_half_a, b, half_c, line in terms]
+            return _sweep(part, ts[rows], shifts,
+                          None if middle_line is None else middle_line[:, kept],
+                          p, weights[kept])
+
         out = np.empty(K)
-        for lo in range(0, K, block):
-            n = min(block, K - lo)
-            for start in range(0, n, piece):
-                steps = ts[lo + start:lo + min(start + piece, n)]
-                rows = delta[start:start + steps.shape[0]]
-                for l, (offset, coeff) in enumerate(shifts):
-                    if l == middle:
-                        rows += middle_line
-                        continue
-                    vals = _sum_lines(terms, offset * steps, buffers)
-                    if l == 0:
-                        np.multiply(vals, coeff, out=rows)
-                    else:
-                        if coeff != 1.0:
-                            vals *= coeff
-                        rows += vals
-                _abs_power(rows, p, buffers[0][:steps.shape[0]])
-            reduced = np.matmul(delta[:n], weights, out=out[lo:lo + n])
-            if not np.isfinite(reduced).all():
-                raise NumericalFailureError("non-finite difference values")
+        for rows, dropped, large_sum, small_sum in zip(groups, *plan):
+            if not dropped.any():
+                out[rows] = _sweep(terms, ts[rows], shifts, middle_line, p,
+                                   weights)
+                continue
+            sums = sweep(rows, np.flatnonzero(~dropped))
+            bound = large_sum + steps[rows] ** (order * p) * small_sum
+            short = bound > _DROP_TOLERANCE * sums
+            if short.any():
+                sums[short] += sweep(rows[short], np.flatnonzero(dropped))
+            out[rows] = sums
         return out
 
     # -- calculus ----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The fused difference sweep against the two-step reference it replaced."""
+"""The pruned difference sweep against the two-step reference it replaced,
+and the line bounds that decide which (step, node) pairs it skips."""
 
 import math
 
@@ -7,8 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affsob import AnalyticField, NumericalFailureError
-from affsob.fields import _SWEEP_BLOCK, GaussianTerm, Polynomial, multi_indices
+from affsob import AnalyticField, NumericalFailureError, RadialSpec
+from affsob import fields
+from affsob.fields import (_SWEEP_BLOCK, GaussianTerm, Polynomial,
+                           _group_bounds, _step_groups, _taylor_shift,
+                           multi_indices)
+from affsob.quadrature import RadialQuadrature, directional_box
 
 
 def two_step_difference_lp_samples(field, xi, ts, order, p, nodes, weights):
@@ -48,6 +53,15 @@ def _random_field(rng, dimension, n_terms, degree):
     return AnalyticField(dimension, terms)
 
 
+def _box_inputs(field, xi, order, dimension):
+    """A directional box's nodes and weights and the radial rule's steps up
+    to its separation scale, at a size the two-step reference can take."""
+    box, t_sep = directional_box(field, xi, order,
+                                 node_scale=0.5 if dimension == 2 else 0.25)
+    return box.nodes, box.weights, RadialQuadrature.for_range(
+        RadialSpec(panels=12), t_sep).nodes
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        dimension=st.sampled_from([2, 3]),
@@ -55,34 +69,165 @@ def _random_field(rng, dimension, n_terms, degree):
        degree=st.integers(0, 3),
        order=st.sampled_from([1, 2, 4]),
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
-       points=st.sampled_from([3001, 700]))
+       points=st.sampled_from([3001, 700, "box"]))
 @example(seed=5, dimension=2, n_terms=2, degree=1, order=2, p=3.0,
          points=_SWEEP_BLOCK + 4000)
-# 1200 nodes give 54-row blocks of two 27-row pieces and a 28-row partial
+# 1200 nodes give 54-row blocks of 27-row pieces and a 28-row partial
 # block, so the middle line of the even orders meets a block edge and a
 # piece edge inside the partial block
 @example(seed=17, dimension=2, n_terms=3, degree=3, order=2, p=3.0,
          points=1200)
 @example(seed=29, dimension=3, n_terms=3, degree=3, order=4, p=1.5,
          points=1200)
+# a directional box on the radial rule's steps, where most pairs are pruned
+@example(seed=3, dimension=2, n_terms=1, degree=0, order=1, p=3.0,
+         points="box")
+@example(seed=11, dimension=2, n_terms=2, degree=2, order=2, p=1.0,
+         points="box")
+@example(seed=23, dimension=3, n_terms=3, degree=3, order=1, p=1.5,
+         points="box")
+@example(seed=31, dimension=2, n_terms=3, degree=3, order=4, p=3.0,
+         points="box")
 def test_fused_sweep_matches_two_step_reference(seed, dimension, n_terms,
                                                 degree, order, p, points):
     rng = np.random.default_rng(seed)
     field = _random_field(rng, dimension, n_terms, degree)
     xi = rng.standard_normal(dimension)
     xi /= np.linalg.norm(xi)
-    nodes = rng.uniform(-4.0, 4.0, (points, dimension))
-    weights = rng.uniform(0.0, 1.0, points)
-    rows = max(1, _SWEEP_BLOCK // points)
-    # one whole block plus a partial one (or three single-row blocks when a
-    # row of nodes is larger than a block)
-    K = rows + rows // 2 + 1 if rows > 1 else 3
-    ts = np.geomspace(0.05, 4.0, K)
+    if points == "box":
+        nodes, weights, ts = _box_inputs(field, xi, order, dimension)
+        K = ts.shape[0]
+    else:
+        nodes = rng.uniform(-4.0, 4.0, (points, dimension))
+        weights = rng.uniform(0.0, 1.0, points)
+        rows = max(1, _SWEEP_BLOCK // points)
+        # one whole block plus a partial one (or three single-row blocks
+        # when a row of nodes is larger than a block)
+        K = rows + rows // 2 + 1 if rows > 1 else 3
+        ts = np.geomspace(0.05, 4.0, K)
     got = field.difference_lp_samples(xi, ts, order, p, nodes, weights)
     want = two_step_difference_lp_samples(field, xi, ts, order, p, nodes,
                                           weights)
     assert got.shape == (K,)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _flat_field(rng, dimension, degree):
+    """A flat_ok field whose precision is zero along the last axis, so the
+    lines along that axis have c = 0 and no Gaussian decay."""
+    eig = np.append(rng.uniform(0.5, 2.0, dimension - 1), 0.0)
+    monomials = [a for k in range(degree + 1)
+                 for a in multi_indices(dimension, k)]
+    poly = {monomials[i]: rng.uniform(-1.0, 1.0)
+            for i in rng.choice(len(monomials), size=min(3, len(monomials)),
+                                replace=False)}
+    return AnalyticField.gaussian(dimension, precision=np.diag(eig),
+                                  mean=rng.uniform(-1.0, 1.0, dimension),
+                                  poly=Polynomial(dimension, poly),
+                                  flat_ok=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dimension=st.sampled_from([2, 3]),
+       n_terms=st.integers(1, 3),
+       degree=st.integers(0, 3),
+       order=st.integers(1, 4),
+       flat=st.booleans())
+@example(seed=7, dimension=2, n_terms=1, degree=3, order=3, flat=True)
+@example(seed=8, dimension=3, n_terms=1, degree=2, order=1, flat=True)
+def test_group_bounds_cover_every_literal_difference(seed, dimension,
+                                                     n_terms, degree, order,
+                                                     flat):
+    rng = np.random.default_rng(seed)
+    if flat:
+        field = _flat_field(rng, dimension, degree)
+        xi = np.eye(dimension)[-1]
+    else:
+        field = _random_field(rng, dimension, n_terms, degree)
+        xi = rng.standard_normal(dimension)
+        xi /= np.linalg.norm(xi)
+    nodes = rng.uniform(-5.0, 5.0, (300, dimension))
+    ts = np.geomspace(0.05, 6.0, 48)
+    steps = [(l - order / 2.0, math.comb(order, l) * (-1.0) ** (order - l))
+             for l in range(order + 1)]
+    delta = sum(coeff * field.line_values(nodes, xi, offset * ts)
+                for offset, coeff in steps)
+    groups = _step_groups(ts.shape[0])
+    reach = 0.5 * order * np.array([ts[rows].max() for rows in groups])
+    large, small = _group_bounds(field._line_terms(nodes, xi), reach, order)
+    derivative = field.directional_derivative(xi, order)
+    for rows, rho, large_g, small_g in zip(groups, reach, large, small):
+        # the literal difference carries rounding of a few units of the
+        # size of its shifted values, which large bounds
+        bound = np.minimum(large_g, ts[rows, None] ** order * small_g)
+        slack = 8.0 * np.finfo(float).eps * large_g
+        assert np.all(np.abs(delta[rows]) <= bound * (1.0 + 1e-12) + slack)
+        # and each bound covers its function sampled along the segment
+        sigma = np.linspace(-rho, rho, 101)
+        assert np.all(2.0 ** order * np.abs(field.line_values(nodes, xi, sigma))
+                      <= large_g * (1.0 + 1e-12))
+        assert np.all(np.abs(derivative.line_values(nodes, xi, sigma))
+                      <= small_g * (1.0 + 1e-12) + 1e-300)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(0, 6))
+def test_taylor_shift_rewrites_the_rows_about_the_shift(seed, degree):
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-2.0, 2.0, (degree + 1, 5))
+    shift = rng.uniform(-3.0, 3.0, 5)
+    u = rng.uniform(-2.0, 2.0, 5)
+    got = sum(row * u ** k for k, row in enumerate(_taylor_shift(rows, shift)))
+    want = sum(row * (shift + u) ** k for k, row in enumerate(rows))
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+def test_gaussian_sweep_skips_most_pairs(monkeypatch):
+    # a Gaussian at p = 3 on its directional box and the radial rule: most
+    # (step, node) pairs sit where both shifted copies are below rounding
+    field = AnalyticField.gaussian(2, precision=[[2.0, 0.5], [0.5, 1.0]])
+    xi = np.array([0.6, 0.8])
+    box, t_sep = directional_box(field, xi, 1, node_scale=36 / 96)
+    ts = RadialQuadrature.for_range(RadialSpec(panels=16), t_sep).nodes
+    pairs = []
+    original = fields._sum_lines
+
+    def spy(terms, taus, buffers):
+        pairs.append(taus.shape[0] * terms[0][0].shape[0])
+        return original(terms, taus, buffers)
+
+    monkeypatch.setattr(fields, "_sum_lines", spy)
+    got = field.difference_lp_samples(xi, ts, 1, 3.0, box.nodes, box.weights)
+    # order 1 evaluates two shifted lines per (step, node) pair
+    assert sum(pairs) < 0.5 * 2 * ts.shape[0] * box.weights.shape[0]
+    monkeypatch.setattr(fields, "_sum_lines", original)
+    want = two_step_difference_lp_samples(field, xi, ts, 1, 3.0, box.nodes,
+                                          box.weights)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_rows_that_fail_the_check_sweep_their_dropped_nodes(monkeypatch):
+    # a drop share of one drops far more than the check allows, so most
+    # rows sweep their dropped nodes as well, and every sample still agrees
+    monkeypatch.setattr(fields, "_DROP_SHARE", 1.0)
+    rng = np.random.default_rng(4)
+    field = _random_field(rng, 2, 2, 2)
+    xi = np.array([0.8, -0.6])
+    nodes, weights, ts = _box_inputs(field, xi, 2, 2)
+    got = field.difference_lp_samples(xi, ts, 2, 1.5, nodes, weights)
+    want = two_step_difference_lp_samples(field, xi, ts, 2, 1.5, nodes,
+                                          weights)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 96, 241])
+def test_step_groups_cover_the_steps_in_order(count):
+    groups = _step_groups(count)
+    assert len(groups) <= fields._SWEEP_GROUPS
+    assert all(rows.shape[0] > 0 for rows in groups)
+    joined = np.concatenate(groups) if groups else np.arange(0)
+    assert np.array_equal(joined, np.arange(count))
 
 
 @pytest.mark.parametrize("kernel", ["fused", "reference"])
