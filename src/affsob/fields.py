@@ -8,6 +8,7 @@ without discretization error.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -180,14 +181,13 @@ class Polynomial:
 
 
 # (step, node) pairs per block of the fused difference sweep: the block's
-# |Delta|^p array holds about this many doubles and stays in cache
+# |Delta|^p array holds about this many doubles and stays in cache; the
+# shifted lines are evaluated half a block of pairs at a time, so each of
+# their work arrays holds half a block per line evaluated
 _SWEEP_BLOCK = 65536
 # contiguous step groups of the difference sweep; each group sweeps only
 # the nodes whose bounded contribution can reach its rows' sums
 _SWEEP_GROUPS = 3
-# below this many steps the bounds cost about as much as the pairs they
-# skip (measured on 2-D and 3-D boxes), so every pair is swept
-_PRUNE_MIN_STEPS = 8
 # a dropped node's contribution to a row may reach this share of the row's
 # sum; a row whose dropped nodes' bound exceeds it sweeps them too
 _DROP_TOLERANCE = 2.0 ** -52
@@ -281,6 +281,9 @@ def _sweep(terms: list[tuple], steps: np.ndarray, shifts: list[tuple],
 
     The weights are positive, so a non-finite difference value gives a
     non-finite reduced row, and then NumericalFailureError is raised.
+    Memory: the |Delta|^p block and up to three work arrays of (lines
+    evaluated) x piece rows each, that is one block each at orders 1 and 2
+    (two lines) and two blocks each at orders 3 and 4 (four lines).
     """
     K, P = steps.shape[0], weights.shape[0]
     middle = None if middle_line is None else (len(shifts) - 1) // 2
@@ -681,8 +684,7 @@ class AnalyticField:
         fails the check sweeps the dropped nodes too.  A sample is thus
         within that share of its sum over every node, up to rounding; it
         does not depend on the thread count, but its last digits are not
-        those of one sweep over every node.  Fewer than _PRUNE_MIN_STEPS
-        steps are swept over every node.  At even order the shift with
+        those of one sweep over every node.  At even order the shift with
         offset 0 is f on the nodes at every t; it is evaluated once.
 
         The weights are positive, so a non-finite difference value gives a
@@ -705,8 +707,6 @@ class AnalyticField:
         if order >= 2 and order % 2 == 0:
             middle_line = shifts[order // 2][1] * _sum_lines(
                 terms, np.zeros(1), _line_buffers(terms, (1, P)))
-        if K < _PRUNE_MIN_STEPS:
-            return _sweep(terms, ts, shifts, middle_line, p, weights)
         # |Delta| is even in t, so the bounds take |t|
         steps = np.abs(ts)
         groups = _step_groups(K)
@@ -845,11 +845,16 @@ class AnalyticField:
             ))
         return AnalyticField(1, terms, flat_ok=self.flat_ok)
 
+    @functools.cached_property
     def covariance_envelope(self) -> np.ndarray:
-        """Conservative spread matrix used to size integration boxes."""
-        n = self.dimension
+        """Conservative spread matrix used to size integration boxes.
+
+        Computed once per field, which is fixed after construction, and
+        read-only: every directional box of a profile shares it."""
         if not self.terms:
-            return np.eye(n)
+            envelope = np.eye(self.dimension)
+            envelope.flags.writeable = False
+            return envelope
         covs = []
         means = []
         for t in self.terms:
@@ -860,8 +865,9 @@ class AnalyticField:
             means.append(t.mean)
         cov = np.mean(covs, axis=0)
         means = np.array(means)
-        spread = means.T @ means / len(self.terms)
-        return cov + spread
+        envelope = cov + means.T @ means / len(self.terms)
+        envelope.flags.writeable = False
+        return envelope
 
     def max_poly_degree(self) -> int:
         return max((t.polynomial.degree for t in self.terms), default=0)

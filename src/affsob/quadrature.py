@@ -20,8 +20,6 @@ __all__ = [
     "integrate_box",
     "build_sphere_quadrature",
     "directional_box",
-    "FieldSpread",
-    "field_spread",
     "gauss_legendre_nodes",
     "radial_from_samples",
     "pushforward_weight",
@@ -102,7 +100,7 @@ class BoxQuadrature:
         at the faces is at the same level as for the default cube."""
         n = field.dimension
         m0 = _DEFAULT_NODES[n] if base_nodes is None else int(base_nodes)
-        env = field.covariance_envelope()
+        env = field.covariance_envelope
         eigval, eigvec = np.linalg.eigh(env)
         eigval = np.clip(eigval, 1e-8, None)
         pad = 1.0 + 0.06 * field.max_poly_degree()
@@ -134,34 +132,17 @@ def _frame_through(xi: np.ndarray) -> np.ndarray:
     return np.eye(n) - 2.0 * np.outer(v, v) / nv
 
 
-@dataclass(frozen=True)
-class FieldSpread:
-    """What directional_box takes from a field whatever the direction: its
-    covariance envelope, the pad for its polynomial degree and its terms'
-    precision matrices.  A profile builds it once for all its directions."""
-
-    envelope: np.ndarray
-    pad: float
-    precisions: tuple[np.ndarray, ...]
-
-
-def field_spread(field: AnalyticField) -> FieldSpread:
-    return FieldSpread(field.covariance_envelope(),
-                       1.0 + 0.06 * field.max_poly_degree(),
-                       tuple(t.precision for t in field.terms))
-
-
-def _support_widths(spread: FieldSpread, frame: np.ndarray) -> np.ndarray:
+def _support_widths(field: AnalyticField, frame: np.ndarray) -> np.ndarray:
     """Half widths of the field's effective support along the frame axes:
     the support function of its spread ellipsoid, padded for polynomials."""
-    axes = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", frame.T, spread.envelope,
-                                     frame.T), 1e-8, None))
-    return np.minimum(BOX_HALF_WIDTH * spread.pad * axes, 4.0 * BOX_HALF_WIDTH)
+    env = field.covariance_envelope
+    pad = 1.0 + 0.06 * field.max_poly_degree()
+    spread = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", frame.T, env, frame.T), 1e-8, None))
+    return np.minimum(BOX_HALF_WIDTH * pad * spread, 4.0 * BOX_HALF_WIDTH)
 
 
 def directional_box(field: AnalyticField, xi: np.ndarray, order: int,
-                    node_scale: float = 1.0, spread: FieldSpread | None = None
-                    ) -> tuple[BoxQuadrature, float]:
+                    node_scale: float = 1.0) -> tuple[BoxQuadrature, float]:
     """Box aligned with a sweep direction, elongated for centered differences.
 
     Returns (box, t_sep).  For steps t <= t_sep every lobe of the centered
@@ -172,20 +153,17 @@ def directional_box(field: AnalyticField, xi: np.ndarray, order: int,
     Widths come from the field's covariance envelope (support function of the
     spread ellipsoid), so for a radial field the boxes at two directions are
     exact rotations of each other and the profile inherits the symmetry.
-    `spread` is field_spread(field), built here when not given.
     """
-    if spread is None:
-        spread = field_spread(field)
     frame = _frame_through(np.asarray(xi, dtype=float))
     n = frame.shape[0]
-    widths = _support_widths(spread, frame)
+    widths = _support_widths(field, frame)
     t_sep = _SEPARATION_FACTOR * widths[0]
     widths[0] += 0.5 * order * t_sep
     density = _DENSITY[n] * node_scale
     nodes = []
     for j in range(n):
-        curv = max((float(frame[:, j] @ precision @ frame[:, j])
-                    for precision in spread.precisions), default=1.0)
+        curv = max((float(frame[:, j] @ t.precision @ frame[:, j])
+                    for t in field.terms), default=1.0)
         m = int(math.ceil(density * widths[j] * math.sqrt(max(curv, 1e-8))))
         nodes.append(min(max(m, 24), _MAX_NODES_PER_AXIS))
     return BoxQuadrature(widths, tuple(nodes), frame=frame), t_sep
@@ -385,11 +363,9 @@ class QuadratureBundle:
         return RadialQuadrature.for_range(self.radial_spec, t_max)
 
     def directional_box_for(self, field: AnalyticField, xi: np.ndarray,
-                            order: int, spread: FieldSpread | None = None
-                            ) -> tuple[BoxQuadrature, float]:
+                            order: int) -> tuple[BoxQuadrature, float]:
         scale = self.box_nodes / _DEFAULT_NODES[self.dimension]
-        return directional_box(field, xi, order, node_scale=scale,
-                               spread=spread)
+        return directional_box(field, xi, order, node_scale=scale)
 
     def scaled(self, factor: float) -> "QuadratureBundle":
         return QuadratureBundle(

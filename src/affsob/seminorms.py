@@ -37,7 +37,6 @@ from .quadrature import (
     QuadratureBundle,
     SphereQuadrature,
     build_sphere_quadrature,
-    field_spread,
     gauss_legendre_nodes,
     integrate_box,
     radial_from_samples,
@@ -247,14 +246,12 @@ def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
         return exact
     fpp = _lp_power(field, p, quads.box_for(field))
     far_constant = _separated_lobes_constant(order, p) * fpp
-    spread = field_spread(field)
     values = np.empty(directions.shape[0])
     tails = np.empty(directions.shape[0])
 
     def sweep(share: range) -> None:
         for j in share:
-            dbox, t_sep = quads.directional_box_for(field, directions[j], order,
-                                                    spread)
+            dbox, t_sep = quads.directional_box_for(field, directions[j], order)
             rq = quads.radial_range(t_sep)
             samples = field.difference_lp_samples(
                 directions[j], rq.nodes, order, p, dbox.nodes, dbox.weights)

@@ -1,5 +1,6 @@
 """Quadrature rules: spheres, boxes, singular radial panels, pushforwards."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from affsob import (AnalyticField, BoxQuadrature, QuadratureBundle,
                     RadialQuadrature, RadialSpec, SphereQuadrature,
                     build_sphere_quadrature, pushforward_weight)
 from affsob import SmoothnessParams, directional_profile
-from affsob.quadrature import (_leggauss, directional_box, field_spread,
+from affsob.quadrature import (_leggauss, directional_box,
                                gauss_legendre_nodes, integrate_box,
                                radial_from_samples)
 
@@ -148,36 +149,26 @@ def test_directional_box_radial_symmetry():
     assert box_a.weights.sum() == pytest.approx(box_b.weights.sum(), rel=1e-12)
 
 
-def test_directional_box_takes_a_prebuilt_spread(family):
-    # a profile builds the field's spread once for all its directions; the
-    # boxes are the ones built from the field alone, bit for bit
-    field = family["twobump"]
-    spread = field_spread(field)
-    for xi in (np.array([1.0, 0.0]), np.array([0.6, -0.8])):
-        for order in (1, 2):
-            box, t_sep = directional_box(field, xi, order, node_scale=0.5)
-            again, t_again = directional_box(field, xi, order, node_scale=0.5,
-                                             spread=spread)
-            assert t_again == t_sep
-            assert np.array_equal(again.nodes, box.nodes)
-            assert np.array_equal(again.weights, box.weights)
-
-
-def test_swept_profile_builds_the_spread_once(monkeypatch, family):
-    # one covariance envelope for the fitted box and one for every
-    # direction's box, not one per direction
+def test_swept_profile_builds_the_envelope_once(family):
+    # the fitted box and every direction's box share one covariance
+    # envelope, computed once per field; it is read-only
     calls = []
-    original = AnalyticField.covariance_envelope
 
-    def spy(self):
-        calls.append(1)
-        return original(self)
+    class Counting(AnalyticField):
+        @functools.cached_property
+        def covariance_envelope(self):
+            calls.append(1)
+            return AnalyticField.covariance_envelope.func(self)
 
-    monkeypatch.setattr(AnalyticField, "covariance_envelope", spy)
+    base = family["aniso"]
+    field = Counting(base.dimension, base.terms, flat_ok=base.flat_ok)
     quads = QuadratureBundle.default(2, box_nodes=24, sphere_resolution=16,
                                      radial_spec=RadialSpec(panels=8))
-    directional_profile(family["aniso"], SmoothnessParams(0.5, 3.0), quads)
-    assert len(calls) == 2
+    profile = directional_profile(field, SmoothnessParams(0.5, 3.0), quads)
+    assert len(calls) == 1
+    assert not field.covariance_envelope.flags.writeable
+    again = directional_profile(base, SmoothnessParams(0.5, 3.0), quads)
+    assert np.array_equal(profile.values, again.values)
 
 
 def test_pushforward_weight_properties():

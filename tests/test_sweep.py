@@ -247,6 +247,29 @@ def test_overflowing_difference_raises(kernel):
             two_step_difference_lp_samples(field, *args)
 
 
+def test_overflowing_bound_keeps_every_node(monkeypatch):
+    # the bounds of a field whose sum overflows are not finite, so no node
+    # is dropped (_drop_plan gives None) and the sweep over every node
+    # raises as the reference does; 8 steps fill all three step groups
+    plans = []
+    original = fields._drop_plan
+
+    def spy(*args):
+        plans.append(original(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(fields, "_drop_plan", spy)
+    big = AnalyticField.gaussian(2, coefficient=1e308)
+    field = big + big
+    nodes = np.array([[0.0, 0.0], [0.5, 0.0], [3.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalFailureError, match="non-finite"):
+        field.difference_lp_samples(np.array([1.0, 0.0]),
+                                    np.geomspace(0.1, 1.0, 8), 1, 3.0, nodes,
+                                    np.ones(3))
+    assert plans == [None]
+
+
 def test_line_values_match_pointwise_evaluation():
     # the reference's line values against plain evaluation at shifted points
     rng = np.random.default_rng(3)
