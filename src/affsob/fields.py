@@ -682,10 +682,10 @@ class AnalyticField:
         Each row then checks that the dropped nodes' bound is at most
         _DROP_TOLERANCE times its sum over the kept nodes, and a row that
         fails the check sweeps the dropped nodes too.  A sample is thus
-        within that share of its sum over every node, up to rounding; it
-        does not depend on the thread count, but its last digits are not
-        those of one sweep over every node.  At even order the shift with
-        offset 0 is f on the nodes at every t; it is evaluated once.
+        within that share of its sum over every node, up to rounding, but
+        its last digits are not those of one sweep over every node.  At even
+        order the shift with offset 0 is f on the nodes at every t; it is
+        evaluated once.
 
         The weights are positive, so a non-finite difference value gives a
         non-finite reduced row, and then NumericalFailureError is raised.

@@ -10,11 +10,8 @@ is what the affine energies aggregate, so it is computed once and reused.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -215,20 +212,6 @@ def _profile_for(field, params: SmoothnessParams, quads: QuadratureBundle,
     return profile
 
 
-def _thread_count() -> int:
-    """Worker threads for the directions of one swept profile:
-    AFFSOB_THREADS when it is a positive integer, else min(4, CPU count)."""
-    raw = os.environ.get("AFFSOB_THREADS")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 0
-        if n >= 1:
-            return n
-    return min(4, os.cpu_count() or 1)
-
-
 def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
                      p: float, order: int, quads: QuadratureBundle
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -237,9 +220,9 @@ def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
     At even p the energies of an AnalyticField are exact (finite parts of
     Gaussian products, see autocorrelation.py, including integer sp/2) and
     the interval bounds their rounding.  Otherwise an elongated box is
-    swept per direction for the difference energies up to the
-    lobe-separation scale t_sep, and the exact separated-lobes far field
-    closes the radial integral.
+    swept per direction, in order on the calling thread, for the difference
+    energies up to the lobe-separation scale t_sep, and the exact
+    separated-lobes far field closes the radial integral.
     """
     exact = exact_directional_energies(field, directions, s, p, order)
     if exact is not None:
@@ -248,30 +231,13 @@ def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
     far_constant = _separated_lobes_constant(order, p) * fpp
     values = np.empty(directions.shape[0])
     tails = np.empty(directions.shape[0])
-
-    def sweep(share: range) -> None:
-        for j in share:
-            dbox, t_sep = quads.directional_box_for(field, directions[j], order)
-            rq = quads.radial_range(t_sep)
-            samples = field.difference_lp_samples(
-                directions[j], rq.nodes, order, p, dbox.nodes, dbox.weights)
-            values[j], tails[j] = radial_from_samples(
-                samples, s, p, order, rq, far_constant=far_constant)
-
-    # the directions are independent: W threads take the interleaved shares
-    # j = k, k + W, ..., the caller share 0, and each result lands at its
-    # own index, so the profile does not depend on W.  A helper runs in a
-    # copy of the caller's context, which carries numpy's error state.
-    workers = max(1, min(_thread_count(), directions.shape[0]))
-    shares = [range(k, directions.shape[0], workers) for k in range(workers)]
-    # the pool starts no thread until a share is submitted, so W = 1 runs
-    # the caller's share alone
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        helpers = [pool.submit(contextvars.copy_context().run, sweep, share)
-                   for share in shares[1:]]
-        sweep(shares[0])
-        for helper in helpers:
-            helper.result()
+    for j in range(directions.shape[0]):
+        dbox, t_sep = quads.directional_box_for(field, directions[j], order)
+        rq = quads.radial_range(t_sep)
+        samples = field.difference_lp_samples(
+            directions[j], rq.nodes, order, p, dbox.nodes, dbox.weights)
+        values[j], tails[j] = radial_from_samples(
+            samples, s, p, order, rq, far_constant=far_constant)
     return values, tails
 
 

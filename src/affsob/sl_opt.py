@@ -182,15 +182,16 @@ def objective(field, T, params: SmoothnessParams, quads: QuadratureBundle) -> fl
 
 
 def numeric_gradient(field, T, params: SmoothnessParams,
-                     quads: QuadratureBundle, _value_fn=None) -> np.ndarray:
+                     quads: QuadratureBundle) -> np.ndarray:
     """Central differences of the objective along a trace-free basis,
     probed through the retraction T exp(eps M)."""
     m = _as_matrix(T)
-    value_fn = _value_fn or (lambda mat: objective(field, mat, params, quads))
     grad = np.zeros_like(m)
     for basis in sl_basis(m.shape[0]):
-        plus = value_fn(m @ matrix_exp(_FD_EPSILON * basis))
-        minus = value_fn(m @ matrix_exp(-_FD_EPSILON * basis))
+        plus = objective(field, m @ matrix_exp(_FD_EPSILON * basis), params,
+                         quads)
+        minus = objective(field, m @ matrix_exp(-_FD_EPSILON * basis), params,
+                          quads)
         if not (np.isfinite(plus) and np.isfinite(minus)):
             raise NumericalFailureError("objective non-finite at gradient probe")
         grad = grad + (plus - minus) / (2.0 * _FD_EPSILON) * basis

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import affsob
-from affsob import (CheckResult, CheckSpec, ConfigError, VerificationReport,
-                    cli_main, config_from_dict, parse_config, write_plot_csv)
+from affsob import (AnalyticField, CheckResult, CheckSpec, ConfigError,
+                    NumericalFailureError, VerificationReport, cli_main,
+                    config_from_dict, parse_config, write_plot_csv)
 from affsob.config import validate_balance, validate_subcritical
-from affsob.seminorms import _thread_count
 from affsob.suites import run_suite, suite_names
 
 
@@ -173,17 +173,6 @@ def test_write_plot_csv(tmp_path):
     assert lines[1] == "series-a,1.0,2.0"
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("AFFSOB_THREADS", "3")
-    assert _thread_count() == 3
-    monkeypatch.setenv("AFFSOB_THREADS", "bogus")
-    assert _thread_count() >= 1
-    monkeypatch.setenv("AFFSOB_THREADS", "0")
-    assert _thread_count() >= 1
-    monkeypatch.delenv("AFFSOB_THREADS")
-    assert _thread_count() >= 1
-
-
 def test_run_suite_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("imaginary")
@@ -302,6 +291,22 @@ def test_cli_non_finite_field_is_a_numerical_failure(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "numerical failure: non-finite integrand values on the box" in err
+
+
+def test_cli_sweep_failure_is_a_numerical_failure(monkeypatch, tmp_path,
+                                                  capsys):
+    # a failure inside the odd-p box sweep reaches the CLI unchanged
+    def fail(*args):
+        raise NumericalFailureError("sweep failed")
+
+    monkeypatch.setattr(AnalyticField, "difference_lp_samples", fail)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "dimension": 2, "s": 0.5, "p": 3.0, "field": "radial",
+        "quadrature": {"box_nodes": 36, "sphere_nodes": 32, "t_panels": 16},
+    }), encoding="utf-8")
+    assert cli_main(["energy", "--config", str(config)]) == 3
+    assert "numerical failure: sweep failed" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_the_cli():

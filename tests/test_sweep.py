@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affsob import AnalyticField, NumericalFailureError, RadialSpec
+from affsob import (AnalyticField, NumericalFailureError, QuadratureBundle,
+                    RadialSpec, SmoothnessParams, directional_profile)
 from affsob import fields
 from affsob.fields import (_SWEEP_BLOCK, GaussianTerm, Polynomial,
                            _group_bounds, _step_groups, _taylor_shift,
@@ -268,6 +269,20 @@ def test_overflowing_bound_keeps_every_node(monkeypatch):
                                     np.geomspace(0.1, 1.0, 8), 1, 3.0, nodes,
                                     np.ones(3))
     assert plans == [None]
+
+
+def test_field_without_terms_sweeps_to_zeros():
+    empty = AnalyticField(2, [])
+    nodes = np.array([[0.0, 0.0], [1.0, -1.0]])
+    samples = empty.difference_lp_samples(np.array([1.0, 0.0]),
+                                          np.array([0.1, 1.0]), 2, 3.0,
+                                          nodes, np.ones(2))
+    assert np.array_equal(samples, np.zeros(2))
+    # the benchmark's base tier
+    base = QuadratureBundle.default(2, box_nodes=36, sphere_resolution=32,
+                                    radial_spec=RadialSpec(panels=16))
+    profile = directional_profile(empty, SmoothnessParams(1.5, 3.0), base)
+    assert np.array_equal(profile.values, np.zeros_like(profile.values))
 
 
 def test_line_values_match_pointwise_evaluation():
