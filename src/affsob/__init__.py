@@ -21,9 +21,9 @@ from .quadrature import (BoxQuadrature, QuadratureBundle, RadialQuadrature,
                          build_sphere_quadrature, pushforward_weight)
 from .reporting import CheckResult, VerificationReport, write_plot_csv
 from .seminorms import (DirectionalEnergyProfile, directional_energy,
-                        directional_profile, higher_difference_energy,
-                        lp_norm, seminorm, slice_seminorm_crosscheck,
-                        slicing_bounds, starred_seminorm, weak_quasinorm)
+                        directional_profile, lp_norm, seminorm,
+                        slice_seminorm_crosscheck, slicing_bounds,
+                        starred_seminorm, weak_quasinorm)
 from .sl_opt import (DirectionalBoundReport, OptimizerOptions, OptimizerTrace,
                      UnimodularTransform, critical_residuals, descent_step,
                      directional_lower_bound_check, matrix_exp, minimize,

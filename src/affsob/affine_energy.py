@@ -23,8 +23,7 @@ from .seminorms import DirectionalEnergyProfile, _profile_for, directional_profi
 class PsiSpec:
     """Bijection of [0, inf] used to aggregate a directional profile.
 
-    psi and psi_inverse are vectorized evaluators on (0, inf).  convex marks
-    specs whose psi is convex (enables the mean comparison checks);
+    psi and psi_inverse are vectorized evaluators on (0, inf).
     singular_at_zero marks specs with psi_inverse(0) = inf, which is the
     extended-arithmetic convention that sends profiles with a dead direction
     to energy zero.
@@ -32,12 +31,11 @@ class PsiSpec:
 
     psi: Callable[[np.ndarray], np.ndarray]
     psi_inverse: Callable[[np.ndarray], np.ndarray]
-    convex: bool = False
     singular_at_zero: bool = False
 
     @classmethod
     def identity(cls) -> "PsiSpec":
-        return cls(lambda x: x, lambda x: x, convex=True)
+        return cls(lambda x: x, lambda x: x)
 
     @classmethod
     def power(cls, s: float, p: float, dimension: int) -> "PsiSpec":
@@ -45,21 +43,7 @@ class PsiSpec:
         expo = -s * p / dimension
         return cls(lambda x: np.asarray(x, dtype=float) ** expo,
                    lambda x: np.asarray(x, dtype=float) ** (1.0 / expo),
-                   convex=True, singular_at_zero=True)
-
-    def validate(self, grid: np.ndarray | None = None) -> None:
-        """Round-trip and convexity spot checks on a positive test grid."""
-        if grid is None:
-            grid = np.geomspace(1e-3, 1e3, 61)
-        grid = np.asarray(grid, dtype=float)
-        back = self.psi(self.psi_inverse(grid))
-        if np.max(np.abs(back - grid) / grid) > 1e-9:
-            raise ValueError("psi and psi_inverse do not invert each other")
-        if self.convex:
-            vals = self.psi(grid)
-            second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-            if np.min(second) < -1e-9 * max(1.0, np.max(np.abs(vals))):
-                raise ValueError("psi fails the convexity check")
+                   singular_at_zero=True)
 
 
 @dataclass(frozen=True)

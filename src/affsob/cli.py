@@ -127,12 +127,13 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    names = suite_names() if args.suite == "all" else [args.suite]
-    out_dir = Path(args.out) if args.out else None
+def _run_suites(names, args, out_dir: Path | None) -> tuple[bool, dict]:
+    """Run the named suites, print each summary and failed row, write each
+    table to out_dir when given, and collect the plot series by file."""
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     all_passed = True
+    plot_rows = {}
     for name in names:
         report = run_suite(name, scale=args.scale, seed=args.seed)
         print(report.summary())
@@ -143,6 +144,15 @@ def _cmd_verify(args) -> int:
             report.write_csv(out_dir / f"{name}.csv",
                              include_seconds=args.timing)
         all_passed = all_passed and report.passed
+        for stem, rows in report.series.items():
+            plot_rows.setdefault(stem, []).extend(rows)
+    return all_passed, plot_rows
+
+
+def _cmd_verify(args) -> int:
+    names = suite_names() if args.suite == "all" else [args.suite]
+    all_passed, _ = _run_suites(names, args,
+                                Path(args.out) if args.out else None)
     return 0 if all_passed else 1
 
 
@@ -176,17 +186,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_report(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    all_passed = True
-    plot_rows = {}
-    for name in suite_names():
-        report = run_suite(name, scale=args.scale, seed=args.seed)
-        print(report.summary())
-        report.write_csv(out_dir / f"{name}.csv",
-                         include_seconds=args.timing)
-        all_passed = all_passed and report.passed
-        for stem, rows in report.series.items():
-            plot_rows.setdefault(stem, []).extend(rows)
+    all_passed, plot_rows = _run_suites(suite_names(), args, out_dir)
     for stem, rows in plot_rows.items():
         write_plot_csv(out_dir / f"{stem}.csv", rows)
     print(f"wrote {len(suite_names())} suite tables and "

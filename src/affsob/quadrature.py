@@ -89,17 +89,12 @@ class BoxQuadrature:
         self.nodes = pts @ frame.T
         self.weights = weights.ravel()
 
-    @property
-    def dimension(self) -> int:
-        return self.half_widths.shape[0]
-
     @classmethod
-    def fitted(cls, field: AnalyticField,
-               base_nodes: int | None = None) -> "BoxQuadrature":
+    def fitted(cls, field: AnalyticField, base_nodes: int) -> "BoxQuadrature":
         """Box aligned with the field's spread, sized so the declared decay
         at the faces is at the same level as for the default cube."""
         n = field.dimension
-        m0 = _DEFAULT_NODES[n] if base_nodes is None else int(base_nodes)
+        m0 = int(base_nodes)
         env = field.covariance_envelope
         eigval, eigvec = np.linalg.eigh(env)
         eigval = np.clip(eigval, 1e-8, None)
@@ -200,10 +195,6 @@ class SphereQuadrature:
         self.nodes = nodes
         self.weights = weights
         self.antipode = antipode
-
-    @property
-    def dimension(self) -> int:
-        return self.nodes.shape[1]
 
     @property
     def area(self) -> float:

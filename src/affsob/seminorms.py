@@ -39,9 +39,6 @@ from .quadrature import (
     radial_from_samples,
 )
 
-# a direction is treated as energetically dead below this fraction of the peak
-_FLAT_RATIO = 1e-12
-
 # the fractional objective trusts T where the sphere rule integrates the
 # Jacobian |T^{-1} eta|^{-N} (exactly the area at det T = 1) to this relative
 # accuracy: an estimate of how it resolves |T^{-1} eta|^{-(N+sp)}, not a bound
@@ -94,19 +91,9 @@ class DirectionalEnergyProfile:
         return float(self.values.min())
 
     @property
-    def max_value(self) -> float:
-        return float(self.values.max())
-
-    @property
     def degenerate(self) -> bool:
         """True when some node carries exactly zero energy."""
         return bool(np.any(self.values == 0.0))
-
-    @property
-    def flat_direction(self) -> bool:
-        """True when some direction is dead relative to the strongest one."""
-        top = self.max_value
-        return bool(top == 0.0 or self.min_value < _FLAT_RATIO * top)
 
     def tail_budget(self) -> float:
         return float(self.sphere.integrate(self.tail_interval))
@@ -176,14 +163,9 @@ def _separated_lobes_constant(order: int, p: float) -> float:
 
 
 def directional_profile(field, params: SmoothnessParams,
-                        quads: QuadratureBundle, *,
-                        difference_order: int | None = None) -> DirectionalEnergyProfile:
-    """Energies D(f, xi) at every node of the bundle's sphere quadrature.
-
-    difference_order overrides the default order floor(s)+1 on the
-    non-integer branch (used by the higher-order difference energy); it is
-    rejected on the integer branch.
-    """
+                        quads: QuadratureBundle) -> DirectionalEnergyProfile:
+    """Energies D(f, xi) at every node of the bundle's sphere quadrature,
+    with differences of order floor(s)+1 on the non-integer branch."""
     sphere = quads.sphere
     n = sphere.nodes.shape[0]
     # reversing the direction leaves both energies unchanged: the derivative
@@ -194,8 +176,7 @@ def directional_profile(field, params: SmoothnessParams,
     values = np.empty(n)
     tails = np.empty(n)
     values[targets], tails[targets], samples = _direction_energies(
-        field, params, sphere.nodes[targets], quads,
-        difference_order=difference_order)
+        field, params, sphere.nodes[targets], quads)
     values[antipode[targets]] = values[targets]
     tails[antipode[targets]] = tails[targets]
     return DirectionalEnergyProfile(params, sphere, values, tails, samples)
@@ -252,26 +233,19 @@ def directional_energy(field, params: SmoothnessParams, xi: np.ndarray,
 
 
 def _direction_energies(field, params: SmoothnessParams,
-                        directions: np.ndarray, quads: QuadratureBundle, *,
-                        difference_order: int | None = None
+                        directions: np.ndarray, quads: QuadratureBundle
                         ) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """Energy, tail interval and derivative samples (None for differences)
     along the directions: derivative branch at integer s, else differences."""
     if not params.fractional:
-        if difference_order is not None:
-            raise ValueError("difference_order applies to the non-integer branch")
         _warn_if_excluded(params, stacklevel=4)
         samples = _derivative_samples(field, _integer_order(params), quads)
         return (_integer_energies(samples, params.p, directions),
                 np.zeros(directions.shape[0]), samples)
     if isinstance(field, GridField):
         raise ValueError("difference-quotient branch needs an analytic field")
-    order = params.difference_order if difference_order is None \
-        else int(difference_order)
-    if order <= params.s:
-        raise ValueError("difference order must exceed s")
-    return (*_radial_energies(field, directions, params.s, params.p, order,
-                              quads), None)
+    return (*_radial_energies(field, directions, params.s, params.p,
+                              params.difference_order, quads), None)
 
 
 def _derivative_samples(field, order: int, quads: QuadratureBundle
@@ -650,20 +624,6 @@ def slicing_bounds(field, params: SmoothnessParams, basis: np.ndarray,
     total = sum(float(v) ** (1.0 / params.p) for v in values)
     value = seminorm(field, params, quads)
     return total / dim, value, total
-
-
-def higher_difference_energy(field: AnalyticField, params: SmoothnessParams,
-                             quads: QuadratureBundle) -> float:
-    """Full-space difference energy with the order boosted to N*(floor(s)+1).
-
-    Returns the raw integral of ||difference||_p^p / |h|^{sp+N}, the p-th
-    power scale, which stays finite because the boosted order still exceeds s.
-    """
-    if not params.fractional:
-        raise ValueError("defined for non-integer s")
-    boosted = field.dimension * params.difference_order
-    profile = directional_profile(field, params, quads, difference_order=boosted)
-    return profile.integrate()
 
 
 def weak_quasinorm(field: GridField, q: float) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .affine_energy import affine_energy
+from .affine_energy import affine_energy, jensen_gap
 from .config import validate_balance, validate_subcritical
 from .constants import c1_first_approach, c1_second_approach, c_gamma, random_frames
 from .family import standard_family, strong_shear_members, weak_grid_field
@@ -216,12 +216,13 @@ def _core_identities(scale: float, seed: int) -> VerificationReport:
         def job():
             gaps = []
             points = []
+            params = SmoothnessParams(1.0, 2.0)
             for sigma in (1, 2, 4):
                 name = f"shear{sigma}"
                 pr = prof(name, 1.0, 2.0)
-                energy = affine_energy(fam[name], SmoothnessParams(1.0, 2.0),
-                                       bundle, profile=pr).value
-                gaps.append(pr.integrate() ** 0.5 - energy)
+                energy = affine_energy(fam[name], params, bundle,
+                                       profile=pr).value
+                gaps.append(jensen_gap(fam[name], params, bundle, profile=pr))
                 points.append(("E-vs-shear", float(sigma), energy))
             series["e_vs_shear"] = points
             increments = np.diff(gaps)

@@ -50,17 +50,6 @@ def test_power_psi_is_the_affine_energy(aniso, bundle2):
     assert via_psi.value == direct.value
 
 
-def test_psi_spec_validation():
-    PsiSpec.identity().validate()
-    PsiSpec.power(0.5, 2.0, 2).validate()
-    broken = PsiSpec(lambda x: x ** 2, lambda x: x)
-    with pytest.raises(ValueError, match="invert"):
-        broken.validate()
-    concave = PsiSpec(np.sqrt, lambda x: x ** 2, convex=True)
-    with pytest.raises(ValueError, match="convex"):
-        concave.validate(grid=np.linspace(1.0, 100.0, 61))
-
-
 def test_value_scales_linearly_with_the_field(radial, bundle2):
     base = affine_energy(radial, P12, bundle2).value
     assert affine_energy(radial.scaled(2.5), P12, bundle2).value == \

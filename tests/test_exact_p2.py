@@ -201,22 +201,24 @@ def sweep_calls(monkeypatch):
 
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_p2_profiles_build_no_sweep(order, sweep_calls, hermite, lean2):
-    # every even p, the pole sp = 2 at p = 4 included
+    # every even p, the pole sp = 2 at p = 4 included; a 2-D rule's first
+    # half holds one node of each antipodal pair, which is what a profile
+    # computes
     for p in (2.0, 4.0, 6.0):
-        params = SmoothnessParams(0.5, p)
-        profile = directional_profile(hermite, params, lean2,
-                                      difference_order=order)
-        assert np.all(profile.values > 0)
-        assert np.all(profile.tail_interval > 0)
-        directional_energy(hermite, params, np.array([0.6, 0.8]), lean2)
+        values, tails = seminorms._radial_energies(
+            hermite, lean2.sphere.nodes[:24], 0.5, p, order, lean2)
+        assert np.all(values > 0)
+        assert np.all(tails > 0)
+        directional_energy(hermite, SmoothnessParams(0.5, p),
+                           np.array([0.6, 0.8]), lean2)
     assert sweep_calls == []
     # a flat_ok field at even p, and odd p, keep the sweep
     flat = AnalyticField(2, hermite.terms, flat_ok=True)
     tiny = QuadratureBundle.default(2, box_nodes=24, sphere_resolution=4,
                                     radial_spec=RadialSpec(panels=8))
     for p in (2.0, 4.0):
-        directional_profile(flat, SmoothnessParams(0.5, p), tiny,
-                            difference_order=order)
+        seminorms._radial_energies(flat, tiny.sphere.nodes[:2], 0.5, p,
+                                   order, tiny)
         assert sweep_calls.count("difference_lp_samples") == 2
         sweep_calls.clear()
     directional_profile(hermite, SmoothnessParams(0.5, 3.0), tiny)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from affsob import (AnalyticField, GridField, QuadratureBundle, RadialSpec,
                     SmoothnessParams, directional_energy, directional_profile,
-                    higher_difference_energy, lp_norm, seminorm,
-                    slice_seminorm_crosscheck, slicing_bounds,
-                    starred_seminorm, weak_quasinorm)
+                    lp_norm, seminorm, slice_seminorm_crosscheck,
+                    slicing_bounds, starred_seminorm, weak_quasinorm)
+from affsob.autocorrelation import exact_directional_energies
 from affsob.constants import random_frames
 from affsob.family import weak_grid_field
 from affsob.quadrature import BOX_HALF_WIDTH
@@ -79,11 +79,12 @@ def test_starred_seminorm_oracles(radial, bundle2):
 
 
 def test_higher_difference_energy_oracle(radial, lean2):
-    # order boosted to N*(floor(s)+1) = 2; the closed form is 4 pi^{5/2}
-    got = higher_difference_energy(radial, SmoothnessParams(0.5, 2.0), lean2)
+    # s = 1/2 with the difference order 2 = N*(floor(s)+1) instead of 1:
+    # the sphere integral of the energies is 4 pi^{5/2}
+    values, _ = exact_directional_energies(radial, lean2.sphere.nodes, 0.5,
+                                           2.0, 2)
+    got = lean2.sphere.integrate(values)
     assert got == pytest.approx(4.0 * math.pi ** 2.5, rel=1e-9)
-    with pytest.raises(ValueError):
-        higher_difference_energy(radial, SmoothnessParams(1.0, 2.0), lean2)
 
 
 def test_seminorm_accepts_precomputed_profile(radial, lean2):
@@ -98,7 +99,7 @@ def test_seminorm_accepts_precomputed_profile(radial, lean2):
 
 def test_profile_constant_for_radial_fields(radial, bundle2):
     profile = directional_profile(radial, SmoothnessParams(1.0, 2.0), bundle2)
-    assert profile.max_value == pytest.approx(profile.min_value, rel=1e-10)
+    assert profile.values.max() == pytest.approx(profile.min_value, rel=1e-10)
 
 
 def test_orthogonal_invariance(aniso, bundle2):
@@ -197,13 +198,13 @@ def test_flat_direction_degenerates_the_profile(bundle2):
                                    flat_ok=True)
     profile = directional_profile(ridge, SmoothnessParams(1.0, 2.0), bundle2)
     assert profile.degenerate
-    assert profile.flat_direction
-    # a flat axis that misses every node still trips the ratio flag
+    # a flat axis that misses every node still leaves a node whose energy
+    # is below 1e-12 of the strongest
     tilted = AnalyticField.gaussian(2, precision=np.diag([1.0, 0.0]),
                                     flat_ok=True)
     tilted_profile = directional_profile(tilted, SmoothnessParams(1.0, 2.0),
                                          bundle2)
-    assert tilted_profile.flat_direction
+    assert tilted_profile.min_value < 1e-12 * tilted_profile.values.max()
 
 
 def test_difference_branch_rejects_grid_fields():
