@@ -25,15 +25,17 @@ import numpy as np
 from .affine_energy import affine_energy, jensen_gap
 from .config import validate_balance, validate_subcritical
 from .constants import c1_first_approach, c1_second_approach, c_gamma, random_frames
-from .family import standard_family, strong_shear_members, weak_grid_field
+from .family import (ridge_member, standard_family, strong_shear_members,
+                     weak_grid_field)
 from .fields import SmoothnessParams
-from .quadrature import (QuadratureBundle, RadialSpec, build_sphere_quadrature,
+from .quadrature import (QuadratureBundle, build_sphere_quadrature,
                          pushforward_weight)
 from .reporting import CheckResult, VerificationReport
 from .seminorms import (DirectionalEnergyProfile, directional_energy,
                         directional_profile, lp_norm, seminorm,
-                        slice_seminorm_crosscheck, slicing_bounds)
-from .sl_opt import (OptimizerOptions, descent_step,
+                        slice_seminorm_crosscheck, slicing_bounds,
+                        weak_quasinorm)
+from .sl_opt import (OptimizerOptions, critical_residuals, descent_step,
                      directional_lower_bound_check, minimize, objective,
                      random_unimodular)
 
@@ -149,7 +151,7 @@ def _core_identities(scale: float, seed: int) -> VerificationReport:
                          1e-3)
         jobs.append(envelope_job(spec, "radial", s, p))
 
-    def invariance_job(check_id, s, p, quads, tol):
+    def invariance_job(check_id, s, p, tol):
         spec = CheckSpec(check_id, "prop-affine-invariance", "deviation", tol)
 
         def job():
@@ -157,30 +159,24 @@ def _core_identities(scale: float, seed: int) -> VerificationReport:
             rng = np.random.default_rng(seed + 17)
             transforms = [random_unimodular(rng, 2, (1.0, 6.0))
                           for _ in range(3)]
-            base = affine_energy(fam["twobump"], params, quads).value
+            base = affine_energy(fam["twobump"], params, bundle).value
             devs = [abs(affine_energy(fam["twobump"].affine_compose(t),
-                                      params, quads).value - base) / base
+                                      params, bundle).value - base) / base
                     for t in transforms]
             return spec.row("core", max(devs), 0.0,
                             note=f"E={_fmt(base)} over 3 transforms")
         return job
 
     jobs.append(invariance_job("affine-invariance-derivative", 1.0, 2.0,
-                               bundle, 5e-3))
-    # the difference branch pays per composed transform, so it runs on a
-    # trimmed bundle; the sphere keeps enough nodes for sheared profiles
-    lean = QuadratureBundle.default(
-        2, box_nodes=48, sphere_resolution=48,
-        radial_spec=RadialSpec(panels=20)).scaled(scale)
+                               5e-3))
     jobs.append(invariance_job("affine-invariance-difference", 0.5, 2.0,
-                               lean, 5e-3))
+                               5e-3))
 
-    def pushforward_job(dim, resolution, tol):
+    def pushforward_job(dim, sphere, tol):
         spec = CheckSpec(f"pushforward-identity-{dim}d", "lemma-change-of-var",
                          "deviation", tol)
 
         def job():
-            sphere = build_sphere_quadrature(dim, resolution)
             rng = np.random.default_rng(seed + 29 + dim)
             T = random_unimodular(rng, dim, (1.0, 4.0))
             probes = (
@@ -200,8 +196,9 @@ def _core_identities(scale: float, seed: int) -> VerificationReport:
             return spec.row("core", max(devs), 0.0, note="4 integrands")
         return job
 
-    jobs.append(pushforward_job(2, bundle.sphere_resolution, 1e-6))
-    jobs.append(pushforward_job(3, max(12, int(round(24 * scale))), 1e-3))
+    jobs.append(pushforward_job(2, bundle.sphere, 1e-6))
+    jobs.append(pushforward_job(
+        3, build_sphere_quadrature(3, max(12, int(round(24 * scale)))), 1e-3))
 
     for name, s in (("radial", 1.0), ("aniso", 1.0), ("shear2", 1.0),
                     ("aniso", 0.5)):
@@ -317,21 +314,15 @@ def _inequalities(scale: float, seed: int) -> VerificationReport:
     """Embedding, ordering, interpolation, reverse, and weak-norm constants
     under the resolution-doubling protocol."""
     fam = standard_family()
-    base = QuadratureBundle.default(
-        2, box_nodes=36, sphere_resolution=32,
-        radial_spec=RadialSpec(panels=16)).scaled(scale)
+    base = QuadratureBundle.default(2).scaled(scale)
     tiers = {"base": base, "doubled": base.scaled(2.0)}
-    ibase = QuadratureBundle.default(2).scaled(scale)
-    itiers = {"base": ibase, "doubled": ibase.scaled(2.0)}
 
     @functools.cache
     def prof(name, s, p, tier):
-        table = itiers if float(s).is_integer() else tiers
-        return _energy_profile(fam[name], SmoothnessParams(s, p), table[tier])
+        return _energy_profile(fam[name], SmoothnessParams(s, p), tiers[tier])
 
     def energy(name, s, p, tier):
-        table = itiers if float(s).is_integer() else tiers
-        return affine_energy(fam[name], SmoothnessParams(s, p), table[tier],
+        return affine_energy(fam[name], SmoothnessParams(s, p), tiers[tier],
                              profile=prof(name, s, p, tier)).value
 
     def norm_q(name, q, tier):
@@ -412,7 +403,7 @@ def _inequalities(scale: float, seed: int) -> VerificationReport:
         transforms += [_shear_matrix(3.0), _shear_matrix(5.0)]
 
         def constant(tier):
-            quads = itiers[tier]
+            quads = tiers[tier]
             bump = fam["bump"]
             params = SmoothnessParams(1.0, 2.0)
             lhs = (lp_norm(bump, 2.0, quads.box_for(bump)) ** 0.5
@@ -432,7 +423,7 @@ def _inequalities(scale: float, seed: int) -> VerificationReport:
 
         def constant(tier):
             params = SmoothnessParams(1.0, 2.0)
-            return [_noimpro_ratio(member, 2.0, params, itiers[tier])
+            return [_noimpro_ratio(member, 2.0, params, tiers[tier])
                     for member in stressed]
 
         return drift_job(spec, constant)
@@ -450,7 +441,6 @@ def _inequalities(scale: float, seed: int) -> VerificationReport:
         params = SmoothnessParams(2.0, 1.0)
 
         def job():
-            from .seminorms import weak_quasinorm
             ratios = {}
             lap_row = None
             for res in (res_base, res_fine):
@@ -538,7 +528,6 @@ def _optimizer(scale: float, seed: int) -> VerificationReport:
                          "deviation", 1e-4)
 
         def job():
-            from .sl_opt import critical_residuals
             T, _, _ = minimized("aniso")
             r_general, r_diag = critical_residuals(fam["aniso"], T, 2.0,
                                                    bundle)
@@ -672,7 +661,6 @@ def _no_improvement(scale: float, seed: int) -> VerificationReport:
     # this much resolution before the control experiment stabilizes
     bundle = QuadratureBundle.default(2, sphere_resolution=768).scaled(scale)
     params = SmoothnessParams(1.0, 1.0)
-    from .family import ridge_member
 
     series: dict = {"ratio_vs_R": []}
 

@@ -206,6 +206,19 @@ def test_inequality_suite_passes_at_reference_resolution():
     assert time.perf_counter() - start < 900.0
 
 
+def test_fractional_rows_share_the_integer_rows_quadrature_at_half_scale():
+    # every suite takes its quadrature from one ladder, so a fractional
+    # energy and the integer energy it is divided by sit on the same sphere
+    # and their drift under doubling stays well inside the 5% tolerance
+    core = {c.check_id: c for c in run_suite("core", 0.5, 0).checks}
+    assert core["affine-invariance-difference"].passed
+    ineq = {c.check_id: c for c in run_suite("inequalities", 0.5, 0).checks}
+    for check_id in ("thm1.1-sobolev-constant", "thm1.2-energy-ordering",
+                     "thm1.5-energy-domain", "thm1.6-gn-interpolation"):
+        row = ineq[check_id]
+        assert abs(row.lhs / row.rhs - 1.0) <= 5e-3, (check_id, row.ratio)
+
+
 def test_no_improvement_suite_passes():
     report = run_suite("noimpro")
     assert report.passed, report.summary()

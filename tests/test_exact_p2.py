@@ -19,8 +19,8 @@ from affsob.fields import GaussianTerm, Polynomial
 from affsob.quadrature import directional_box, radial_from_samples
 from test_sweep import _random_field
 
-# the fractional tiers of the inequality suite: box 36, sphere 32,
-# 16 panels, and the same doubled
+# the benchmark's base tier: box 36, sphere 32, 16 panels, and the same
+# doubled
 BASE = QuadratureBundle.default(2, box_nodes=36, sphere_resolution=32,
                                 radial_spec=RadialSpec(panels=16))
 DOUBLED = BASE.scaled(2.0)
