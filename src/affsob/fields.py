@@ -196,6 +196,20 @@ _DROP_TOLERANCE = 2.0 ** -52
 _DROP_SHARE = 2.0 ** -58
 
 
+def _point_blocks(count: int, per_point: int) -> list[slice]:
+    """Consecutive slices of range(count) that each hold about _SWEEP_BLOCK
+    values at `per_point` values per point, and at least two points unless
+    count is 1: numpy multiplies a one-column matrix by another BLAS routine
+    (gemv), whose last bits differ, so a one-point tail joins the block
+    before it.  The walk serves elementwise work only: a sum split at the
+    block edges would move its last bits."""
+    size = max(2, _SWEEP_BLOCK // max(per_point, 1))
+    starts = list(range(0, count, size))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
+
+
 def _line_buffers(terms: list[tuple], shape: tuple[int, int]
                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Work arrays (expo, vals, poly) for _sum_lines, None where unneeded:
@@ -574,6 +588,29 @@ def _hermite_factors(u: np.ndarray, precision: np.ndarray, order: int,
     return kept
 
 
+def _add_term_partials(out: np.ndarray, pts: np.ndarray, term: GaussianTerm,
+                       alphas: list[tuple[int, ...]],
+                       polynomial: dict[tuple[int, ...], np.ndarray]) -> None:
+    """Add c d^alpha (q E) of the term at the points pts to out, one row per
+    alpha, from the d^beta q at those points (_polynomial_partials)."""
+    order = sum(alphas[0])
+    # one contiguous row per coordinate
+    d = np.ascontiguousarray(pts.T) - term.mean[:, None]
+    u = term.precision @ d
+    envelope = np.exp(-0.5 * np.einsum("ip,ip->p", u, d))
+    envelope *= term.coefficient
+    # c E d^beta q, for every beta that does not annihilate q
+    scaled = {beta: dq * envelope for beta, dq in polynomial.items()}
+    lowest = order - max(sum(beta) for beta in scaled)
+    hermite = _hermite_factors(u, term.precision, order, lowest)
+    for row, alpha in zip(out, alphas):
+        for beta, dq in scaled.items():
+            gamma = tuple(a - b for a, b in zip(alpha, beta))
+            if min(gamma) >= 0:
+                weight = math.prod(map(math.comb, alpha, beta))
+                row += weight * hermite[gamma] * dq
+
+
 class AnalyticField:
     """Finite sum of Gaussian-polynomial terms on R^N."""
 
@@ -752,30 +789,27 @@ class AnalyticField:
         H_{alpha - beta} E.  E is evaluated once per term, and every d^beta q
         comes from one set of monomial values (_polynomial_partials), so no
         Polynomial is built.
+
+        Memory: the points are taken in blocks (_point_blocks) whose rows of
+        the output hold about _SWEEP_BLOCK values, and the envelope, the
+        Hermite factors and their products hold one block.  Each of those
+        values is elementwise, so it does not depend on the blocking.  The
+        d^beta q of a term are one matrix product over every point, whose
+        last bits depend on how BLAS splits the points: they hold one row
+        per beta and every point, and a row per monomial while they are
+        built.
         """
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         pts, _ = _as_matrix(points, self.dimension)
-        # one contiguous row per coordinate
-        x = np.ascontiguousarray(pts.T)
         alphas = multi_indices(self.dimension, order)
         out = np.zeros((len(alphas), pts.shape[0]))
         for t in self.terms:
-            d = x - t.mean[:, None]
-            u = t.precision @ d
-            envelope = np.exp(-0.5 * np.einsum("ip,ip->p", u, d))
-            envelope *= t.coefficient
-            # c E d^beta q, for every beta that does not annihilate q
-            scaled = {beta: dq * envelope for beta, dq in
-                      _polynomial_partials(t.polynomial, x, order).items()}
-            lowest = order - max(sum(beta) for beta in scaled)
-            hermite = _hermite_factors(u, t.precision, order, lowest)
-            for row, alpha in zip(out, alphas):
-                for beta, dq in scaled.items():
-                    gamma = tuple(a - b for a, b in zip(alpha, beta))
-                    if min(gamma) >= 0:
-                        weight = math.prod(map(math.comb, alpha, beta))
-                        row += weight * hermite[gamma] * dq
+            polynomial = _polynomial_partials(t.polynomial, pts.T, order)
+            for block in _point_blocks(pts.shape[0], len(alphas)):
+                _add_term_partials(
+                    out[:, block], pts[block], t, alphas,
+                    {beta: dq[block] for beta, dq in polynomial.items()})
         return out
 
     def directional_derivative(self, xi: np.ndarray, order: int = 1) -> "AnalyticField":

@@ -24,6 +24,7 @@ from .fields import (
     NumericalFailureError,
     SmoothnessParams,
     _abs_power,
+    _point_blocks,
     directional_weight_matrix,
     multi_indices,
 )
@@ -137,6 +138,8 @@ def _integer_energies(samples, p: float, directions: np.ndarray) -> np.ndarray:
     are exactly zero.  Other p take the points in blocks that hold every
     direction for about _SWEEP_BLOCK // (direction count) points, so the
     partials are read once and each block's |derivative|^p stays in cache.
+    Those blocks' edges fix the last bits of the sums, so they are not the
+    walk of _point_blocks.
     """
     alphas, mat, weights = samples
     W = directional_weight_matrix(directions, alphas)
@@ -297,6 +300,28 @@ def _contracted_partials(alphas: list[tuple[int, ...]], mat: np.ndarray,
     return g
 
 
+def _by_blocks(count: int, per_point: int, kernel):
+    """kernel(block) for every point block of range(count) (_point_blocks),
+    written into one array allocated up front; a kernel that returns a
+    tuple of arrays gives a tuple, each joined along its first axis.  A
+    single block's arrays are returned as they are."""
+    blocks = _point_blocks(count, per_point)
+    if len(blocks) == 1:
+        return kernel(blocks[0])
+    joined = None
+    for block in blocks:
+        parts = kernel(block)
+        single = isinstance(parts, np.ndarray)
+        if single:
+            parts = (parts,)
+        if joined is None:
+            joined = tuple(np.empty((count,) + part.shape[1:], part.dtype)
+                           for part in parts)
+        for out, part in zip(joined, parts):
+            out[block] = part
+    return joined[0] if single else joined
+
+
 class _SampleObjective:
     """T -> |f o T|_{s,p} over determinant-one T, from samples of f taken
     once at T = I: value(T) = (sum_i w_i e_i(T))^(1/p).
@@ -308,6 +333,18 @@ class _SampleObjective:
     has the same exact gradient: rate * power^(1/p - 1) times the
     trace-free part of S.  `trusted(T)` is false where the samples do not
     resolve f o T, and `value` is then not an estimate of |f o T|.
+
+    Memory: besides its samples and weights, a norm-power objective (s = 1
+    and fractional s) holds one vector per sample, and the others nothing
+    per sample: the order-2 objective builds the Hessians of each block
+    from the partials when it needs them.  Below order 3 `energies` and
+    `factors` walk the samples in point blocks of about _SWEEP_BLOCK
+    values (_by_blocks) and hold one block of work arrays besides their
+    per-sample outputs.
+    Every per-sample value is elementwise, so it does not depend on the
+    blocking; the sums in `value` and `moment` are taken whole.  The
+    order >= 3 scan keeps its own blocks, and its `factors` contract the
+    partials at every sample at once.
     """
 
     def __init__(self, energies, factors, weights: np.ndarray, p: float,
@@ -338,27 +375,31 @@ def _norm_power_objective(vectors: np.ndarray, weights: np.ndarray, q: float,
     d|v|^q = q |v|^{q-2} <v v^t, M> for v = T^t x and the negative of that
     for v = T^{-1} x, so S = sum w |v|^{q-2} v v^t at rate q/p, or -q/p
     when `inverse` is set."""
+    count, dimension = vectors.shape
 
-    def images(matrix):
-        if inverse:
-            return vectors @ np.linalg.inv(matrix).T
-        return vectors @ matrix
+    def linear_map(matrix):
+        return np.linalg.inv(matrix).T if inverse else matrix
 
     def energies(matrix):
-        return np.linalg.norm(images(matrix), axis=1) ** q
+        m = linear_map(matrix)
+        return _by_blocks(count, dimension, lambda block: np.linalg.norm(
+            vectors[block] @ m, axis=1) ** q)
 
     def factors(matrix):
-        v = images(matrix)
-        speeds = np.linalg.norm(v, axis=1)
-        if q < 2.0:
-            scale = np.where(speeds > 0.0, speeds ** (q - 2.0), 0.0)
-        else:
-            scale = speeds ** (q - 2.0)
+        m = linear_map(matrix)
+
+        def kernel(block):
+            v = vectors[block] @ m
+            speeds = np.linalg.norm(v, axis=1)
+            if q < 2.0:
+                return v, np.where(speeds > 0.0, speeds ** (q - 2.0), 0.0)
+            return v, speeds ** (q - 2.0)
+
+        v, scale = _by_blocks(count, dimension, kernel)
         return v, scale, v
 
     rate = (-q if inverse else q) / p
-    return _SampleObjective(energies, factors, weights, p, rate,
-                            vectors.shape[1])
+    return _SampleObjective(energies, factors, weights, p, rate, dimension)
 
 
 def _top_eigenvalues_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray
@@ -395,40 +436,55 @@ def _hessian_objective(alphas: list[tuple[int, ...]], mat: np.ndarray,
     S = sum w |lambda|^p v v^t at rate 2.  At a tie any vector of the top
     eigenspace gives a valid subgradient.  In 2-D the entries of T^t H T
     are a linear map of the packed rows and the eigenpair a closed form;
-    from 3-D on each sample's T^t H T goes through eigh."""
-    n = len(alphas[0])
+    from 3-D on each sample's T^t H T goes through eigh, on the Hessians
+    of one block at a time."""
+    n, count = len(alphas[0]), mat.shape[1]
     if n == 2:
         def congruence(matrix):
-            """Entries a, b, c of T^t H T = [[a, b], [b, c]] at every sample:
-            with u = T e_0 and v = T e_1, a = H[u, u], b = H[u, v] and
-            c = H[v, v].  multi_indices(2, 2) packs the rows as (0, 2),
-            (1, 1), (2, 0), so mat is H11, H01, H00 in that order."""
+            """The 3 x 3 map from the packed rows to the entries a, b, c of
+            T^t H T = [[a, b], [b, c]] at every sample: with u = T e_0 and
+            v = T e_1, a = H[u, u], b = H[u, v] and c = H[v, v].
+            multi_indices(2, 2) packs the rows as (0, 2), (1, 1), (2, 0),
+            so mat is H11, H01, H00 in that order."""
             (u0, v0), (u1, v1) = matrix
             return np.array([[u1 * u1, 2.0 * u0 * u1, u0 * u0],
                              [u1 * v1, u0 * v1 + u1 * v0, u0 * v0],
-                             [v1 * v1, 2.0 * v0 * v1, v0 * v0]]) @ mat
+                             [v1 * v1, 2.0 * v0 * v1, v0 * v0]])
 
         def energies(matrix):
-            return _top_eigenvalues_2x2(*congruence(matrix))[0] ** p
+            c = congruence(matrix)
+            return _by_blocks(count, 3, lambda block: _top_eigenvalues_2x2(
+                *(c @ mat[:, block]))[0] ** p)
 
         def factors(matrix):
-            top, v = _top_eigenpairs_2x2(*congruence(matrix))
-            return v, top ** p, v
+            c = congruence(matrix)
+
+            def kernel(block):
+                top, v = _top_eigenpairs_2x2(*(c @ mat[:, block]))
+                return v, top ** p
+
+            v, scale = _by_blocks(count, 3, kernel)
+            return v, scale, v
 
         return _SampleObjective(energies, factors, weights, p, 2.0, n)
 
-    hessians = _derivative_tensor(alphas, mat, n)
+    def congruent(matrix, block):
+        return matrix.T @ _derivative_tensor(alphas, mat[:, block], n) @ matrix
 
     def energies(matrix):
-        lam = np.linalg.eigvalsh(matrix.T @ hessians @ matrix)
-        return np.abs(lam).max(axis=1) ** p
+        return _by_blocks(count, n * n, lambda block: np.abs(
+            np.linalg.eigvalsh(congruent(matrix, block))).max(axis=1) ** p)
 
     def factors(matrix):
-        lam, vecs = np.linalg.eigh(matrix.T @ hessians @ matrix)
-        top = np.abs(lam).argmax(axis=1)
-        v = np.take_along_axis(vecs, top[:, None, None], axis=2)[:, :, 0]
-        lam = np.take_along_axis(lam, top[:, None], axis=1)[:, 0]
-        return v, np.abs(lam) ** p, v
+        def kernel(block):
+            lam, vecs = np.linalg.eigh(congruent(matrix, block))
+            top = np.abs(lam).argmax(axis=1)
+            v = np.take_along_axis(vecs, top[:, None, None], axis=2)[:, :, 0]
+            lam = np.take_along_axis(lam, top[:, None], axis=1)[:, 0]
+            return v, np.abs(lam) ** p
+
+        v, scale = _by_blocks(count, n * n, kernel)
+        return v, scale, v
 
     return _SampleObjective(energies, factors, weights, p, 2.0, n)
 
@@ -445,7 +501,10 @@ def _scan_objective(alphas: list[tuple[int, ...]], mat: np.ndarray,
 
     def scan(matrix):
         """Signed maximum h at each sample and the index of its xi*, in
-        blocks of samples that each hold about _SWEEP_BLOCK values."""
+        blocks of samples that each hold about _SWEEP_BLOCK values.  With
+        ten partials (order 3 in 3-D) the product's last bits depend on
+        where the blocks end, so they keep their own edges, not those of
+        _point_blocks."""
         W = directional_weight_matrix(directions @ matrix.T, alphas)
         h = np.empty(n_pts)
         top = np.empty(n_pts, dtype=np.intp)
