@@ -38,7 +38,7 @@ import numpy as np
 
 from .fields import AnalyticField, NumericalFailureError, SmoothnessParams
 from .quadrature import QuadratureBundle
-from .seminorms import _sample_objective, directional_profile
+from .seminorms import _row_norms, _sample_objective, directional_profile
 
 _DET_TOL = 1e-9
 
@@ -142,7 +142,9 @@ def sl_basis(dimension: int) -> list[np.ndarray]:
 def matrix_exp(a: np.ndarray) -> np.ndarray:
     """Scaling and squaring with a machine-tolerance Taylor core."""
     a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a, ord=np.inf)
+    # the infinity norms are the largest absolute row sums, as
+    # np.linalg.norm(x, ord=np.inf) computes them, without its wrapper
+    norm = np.abs(a).sum(axis=1).max()
     squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.5))))
     b = a / 2.0 ** squarings
     result = np.eye(a.shape[0])
@@ -150,7 +152,7 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     for k in range(1, 40):
         term = term @ b / k
         result = result + term
-        if np.linalg.norm(term, ord=np.inf) < 1e-18:
+        if np.abs(term).sum(axis=1).max() < 1e-18:
             break
     for _ in range(squarings):
         result = result @ result
@@ -346,7 +348,7 @@ def directional_lower_bound_check(field, T_star, params: SmoothnessParams,
     if total <= 0:
         raise ValueError("field has no smoothness energy at this transform")
     pulled = profile.sphere.nodes @ np.linalg.inv(m).T
-    lengths = np.linalg.norm(pulled, axis=1)
+    lengths = _row_norms(pulled)
     shares = lengths ** (-params.s * params.p) * profile.values
     ratios = shares ** (1.0 / params.p) / total
     if threshold is None:

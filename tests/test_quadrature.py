@@ -112,6 +112,27 @@ def test_box_cube_integrates_its_volume():
     assert ones == pytest.approx(36.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_box_nodes_and_weights_match_the_meshgrid_copies(rng, dimension):
+    # the nodes were built from the ravelled meshgrid copies; the stacked
+    # views must give the same bits, in a rotated frame too
+    half_widths = rng.uniform(1.0, 5.0, dimension)
+    counts = tuple(int(m) for m in rng.integers(3, 12, dimension))
+    frame = np.linalg.qr(rng.standard_normal((dimension, dimension)))[0]
+    box = BoxQuadrature(half_widths, counts, frame)
+    one_d = [_leggauss(m) for m in counts]
+    grids = np.meshgrid(*[x * L for (x, _), L in zip(one_d, half_widths)],
+                        indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=1) @ frame.T
+    weights = np.ones(1)
+    for (_, w), L in zip(one_d, half_widths):
+        weights = np.multiply.outer(weights, w * L)
+    assert box.nodes.flags.c_contiguous
+    assert np.array_equal(box.nodes.view(np.uint64), nodes.view(np.uint64))
+    assert np.array_equal(box.weights.view(np.uint64),
+                          weights.ravel().view(np.uint64))
+
+
 def test_radial_quadrature_matches_scipy():
     rq = RadialQuadrature(1e-3, 50.0, panels=30)
     g = lambda t: np.exp(-t) * t ** 2
