@@ -125,8 +125,9 @@ def autocorrelation_sum(field, xi, ts, order):
                 envelope = pair.scale * np.exp(-0.5 * (
                     h[0, 0] * ts ** 2 - 2.0 * h_t0[0, 0] * ts
                     + pair.delta_norm))
-                values = pair.polynomial_values(xi[None, :], shift,
-                                                ts[None, None, :])[0][0, 0]
+                coefficients = pair.polynomial_coefficients(
+                    xi[None, :], shift)[0][:, 0, 0]
+                values = np.polynomial.polynomial.polyval(ts, coefficients)
                 total += w * envelope * values
     return total
 
