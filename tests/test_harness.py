@@ -302,7 +302,7 @@ def test_cli_sweep_failure_is_a_numerical_failure(monkeypatch, tmp_path,
     monkeypatch.setattr(AnalyticField, "difference_lp_samples", fail)
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
-        "dimension": 2, "s": 0.5, "p": 3.0, "field": "radial",
+        "dimension": 2, "s": 0.5, "p": 3.0, "field": "hermite",
         "quadrature": {"box_nodes": 36, "sphere_nodes": 32, "t_panels": 16},
     }), encoding="utf-8")
     assert cli_main(["energy", "--config", str(config)]) == 3

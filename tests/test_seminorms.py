@@ -17,7 +17,7 @@ from affsob.autocorrelation import exact_directional_energies
 from affsob.constants import random_frames
 from affsob.family import weak_grid_field
 from affsob.quadrature import BOX_HALF_WIDTH
-from affsob.seminorms import _one_d_seminorm_power
+from affsob.seminorms import _one_d_seminorm_power, _swept_energies
 
 E0 = np.array([1.0, 0.0])
 
@@ -42,13 +42,17 @@ def test_fractional_directional_energy_oracles(radial, lean2, s, p, want, tol):
 
 
 def test_fractional_directional_energy_p1_oracle(radial):
-    # |difference| has a moving kink, so the box rule converges slowly;
-    # 96 nodes brings it to the percent level and the oracle is loose
+    # a single Gaussian's energy is one line integral split at the zeros
+    # of the difference, 8e-13 from the closed form; the box sweep's
+    # |difference| has a moving kink, so the box rule converges slowly:
+    # 96 nodes bring it to 2.8e-3, and its oracle is loose
     bundle = QuadratureBundle.default(2, box_nodes=96, sphere_resolution=16,
                                       radial_spec=RadialSpec(panels=24))
     want = 2.0 ** 2.25 * math.sqrt(math.pi) * scipy.special.gamma(0.25)
     got = directional_energy(radial, SmoothnessParams(0.5, 1.0), E0, bundle)
-    assert got == pytest.approx(want, rel=1e-2)
+    assert got == pytest.approx(want, rel=1e-10)
+    swept, _ = _swept_energies(radial, E0[None, :], 0.5, 1.0, 1, bundle)
+    assert swept[0] == pytest.approx(want, rel=1e-2)
 
 
 def test_integer_directional_energy_oracle(radial, bundle2):

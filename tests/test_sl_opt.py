@@ -225,9 +225,6 @@ def test_minimize_reports_the_objective_it_descended(s, p, quads_name, family,
     quads = request.getfixturevalue(quads_name)
     params = SmoothnessParams(s, p)
     for name, field in family.items():
-        if name == "shear4" and params.fractional:
-            # its fitted box makes each swept profile cost about 10 s
-            continue
         t, value, trace = minimize(field, params,
                                    OptimizerOptions(max_iters=5), quads)
         ctx = _sample_objective(field, params, quads)
