@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import NumericalFailureError, SmoothnessParams
 from .quadrature import QuadratureBundle
-from .seminorms import DirectionalEnergyProfile, _profile_for, directional_profile
+from .seminorms import DirectionalEnergyProfile, _profile_for
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,18 @@ class EnergyResult:
 
     degenerate is set exactly when some profile node carried zero energy (or
     the aggregation overflowed, which is the same thing at float precision);
-    under the power-type psi that sends the value to 0.  tail_budget is the
-    sphere integral of the profile's tail interval: on the swept path the
-    radial head model and far field only, not the box, sphere or panel
-    error (1e4 to 1e10 times larger at coarse tiers); at even p, where the
-    energies are closed forms, a bound on their rounding error.
-    resolution_drift is stamped only when a doubled-resolution monitor ran.
+    under the power-type psi that sends the value to 0.  A field in the
+    space has such a node only when it is zero, as the sum of a Gaussian
+    and its negative is.  tail_budget is the sphere integral of the
+    profile's tail interval: on the swept path the radial head model and
+    far field only, not the box, sphere or panel error (1e4 to 1e10 times
+    larger at coarse tiers); at even p, where the energies are closed
+    forms, a bound on their rounding error.
     """
 
     value: float
     degenerate: bool
     tail_budget: float
-    resolution_drift: float | None = None
 
 
 def _aggregate(profile: DirectionalEnergyProfile, psi: PsiSpec,
@@ -98,31 +98,18 @@ def psi_energy(field, params: SmoothnessParams, psi: PsiSpec,
 
 
 def affine_energy(field, params: SmoothnessParams, quads: QuadratureBundle, *,
-                  profile: DirectionalEnergyProfile | None = None,
-                  monitor_resolution: bool = False) -> EnergyResult:
+                  profile: DirectionalEnergyProfile | None = None
+                  ) -> EnergyResult:
     """The affine-invariant energy
 
         sigma_N^{(N+sp)/(Np)} * (int_S D(f, xi)^{-N/(sp)} dsigma)^{-s/N}.
 
     A profile with a dead direction yields value 0 with the degenerate flag
-    (the sphere integral diverges under the negative power).  With
-    monitor_resolution the sphere rule is doubled once and the relative
-    difference is stamped on the result.
+    (the sphere integral diverges under the negative power).
     """
-    profile = _profile_for(field, params, quads, profile)
     spec = PsiSpec.power(params.s, params.p, quads.dimension)
-    result = _aggregate(profile, spec, params)
-    if not monitor_resolution:
-        return result
-    fine = QuadratureBundle(quads.dimension, 2 * quads.sphere_resolution,
-                            quads.box_nodes, quads.radial_spec)
-    fine_profile = directional_profile(field, params, fine)
-    fine_result = _aggregate(fine_profile, spec, params)
-    drift = 0.0
-    if fine_result.value > 0:
-        drift = abs(result.value - fine_result.value) / fine_result.value
-    return EnergyResult(result.value, result.degenerate, result.tail_budget,
-                        resolution_drift=drift)
+    return _aggregate(_profile_for(field, params, quads, profile), spec,
+                      params)
 
 
 def jensen_gap(field, params: SmoothnessParams, quads: QuadratureBundle, *,

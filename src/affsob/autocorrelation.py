@@ -476,10 +476,10 @@ def exact_directional_energies(field, directions: np.ndarray, s: float,
                                ) -> tuple[np.ndarray, np.ndarray] | None:
     """D(f, xi) at even p along each row of directions, and a bound on the
     rounding error of each value; None when p is not an even integer, the
-    field is not an AnalyticField with positive definite precisions, or
-    its product integrals overflow.  Energies whose bound exceeds
-    _RECOMPUTE_LEVEL of their value are computed again in long double."""
-    if not isinstance(field, AnalyticField) or field.flat_ok or p % 2.0:
+    field is not an AnalyticField, or its product integrals overflow.
+    Energies whose bound exceeds _RECOMPUTE_LEVEL of their value are
+    computed again in long double."""
+    if not isinstance(field, AnalyticField) or p % 2.0:
         return None
     n_terms = len(field.terms)
     if p == 2.0:

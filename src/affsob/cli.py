@@ -20,7 +20,7 @@ from .constants import (c1_first_approach, c1_general, c1_second_approach,
                         c_gamma)
 from .fields import NumericalFailureError
 from .reporting import write_plot_csv
-from .seminorms import directional_profile, seminorm
+from .seminorms import directional_profile, seminorm, starred_seminorm
 from .sl_opt import minimize
 from .suites import run_suite, suite_names
 
@@ -98,7 +98,9 @@ def _cmd_energy(args) -> int:
         },
     }
     if not cfg.params.fractional:
-        payload["starred_seminorm"] = profile.integrate() ** (1 / cfg.params.p)
+        payload["starred_seminorm"] = starred_seminorm(
+            cfg.field, cfg.params.s, cfg.params.p, cfg.quadrature,
+            profile=profile)
     print(f"field {cfg.field_name}: seminorm {payload['seminorm']!r}, "
           f"energy {result.value!r}, degenerate {result.degenerate}")
     if args.out:

@@ -381,15 +381,16 @@ def _group_bounds(terms: list[tuple], reach: np.ndarray,
     Taylor rows of _line_terms, and the terms' bounds add up.  For c > 0,
     E(tau) = E(v) - (tau - v)^2 c/2 about its vertex v, so over the segment
     exp(E) is largest at the point nearest to v, a gap d = max(|v| -
-    reach, 0) away; otherwise (c = 0, or rounding below it on a flat field)
-    at an end.  A polynomial is at most sum_k |row_k| reach^k on the
-    segment, and the derivative's rows come from _derivative_rows.  For f
-    with c > 0 the rows are taken in powers of u = tau - v instead
-    (_taylor_shift), because about the node the rows of a node far from
-    the peak cancel there; |u|^k exp(-u^2 c/2) rises to its largest value
-    at |u| = sqrt(k / c) and falls beyond it, so over the segment it is at
-    most d^k exp(-d^2 c/2) when d is beyond that point, and that largest
-    value otherwise.
+    reach, 0) away; otherwise at an end.  c = xi^T A xi is positive for a
+    positive definite A, but for a precision near the floor of
+    GaussianTerm.validate rounding can take it to 0 or below.  A polynomial
+    is at most sum_k |row_k| reach^k on the segment, and the derivative's
+    rows come from _derivative_rows.  For f with c > 0 the rows are taken
+    in powers of u = tau - v instead (_taylor_shift), because about the
+    node the rows of a node far from the peak cancel there; |u|^k
+    exp(-u^2 c/2) rises to its largest value at |u| = sqrt(k / c) and falls
+    beyond it, so over the segment it is at most d^k exp(-d^2 c/2) when d
+    is beyond that point, and that largest value otherwise.
     """
     rho = reach[:, None]
     bounds = np.zeros((2, rho.shape[0], terms[0][0].shape[0]))
@@ -493,7 +494,7 @@ class GaussianTerm:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "precision", np.asarray(self.precision, dtype=float))
 
-    def validate(self, flat_ok: bool = False) -> None:
+    def validate(self) -> None:
         n = self.mean.shape[0]
         if self.precision.shape != (n, n):
             raise DimensionMismatchError("precision shape does not match mean")
@@ -502,11 +503,9 @@ class GaussianTerm:
         eigs = np.linalg.eigvalsh(self.precision)
         # below n * eps * (largest eigenvalue) the smallest one is rounding
         # noise, and the matrix is not numerically positive definite
-        floor = -1e-12 if flat_ok else max(
-            1e-14, n * np.finfo(float).eps * eigs.max())
-        if eigs.min() < floor:
-            kind = "positive semidefinite" if flat_ok else "positive definite"
-            raise ValueError(f"precision matrix must be {kind}; eigenvalues {eigs}")
+        if eigs.min() < max(1e-14, n * np.finfo(float).eps * eigs.max()):
+            raise ValueError("precision matrix must be positive definite; "
+                             f"eigenvalues {eigs}")
 
 
 def _envelope_derivative(poly: Polynomial, term: GaussianTerm,
@@ -614,40 +613,37 @@ def _add_term_partials(out: np.ndarray, pts: np.ndarray, term: GaussianTerm,
 class AnalyticField:
     """Finite sum of Gaussian-polynomial terms on R^N."""
 
-    def __init__(self, dimension: int, terms: Sequence[GaussianTerm],
-                 flat_ok: bool = False):
+    def __init__(self, dimension: int, terms: Sequence[GaussianTerm]):
         self.dimension = int(dimension)
         self.terms = tuple(terms)
-        self.flat_ok = bool(flat_ok)
         for t in self.terms:
             if t.mean.shape[0] != self.dimension:
                 raise DimensionMismatchError("term dimension mismatch")
             if t.polynomial.dimension != self.dimension:
                 raise DimensionMismatchError("polynomial dimension mismatch")
-            t.validate(flat_ok=flat_ok)
+            t.validate()
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def gaussian(cls, dimension: int, precision=None, mean=None,
-                 coefficient: float = 1.0, poly: Polynomial | None = None,
-                 flat_ok: bool = False) -> "AnalyticField":
+                 coefficient: float = 1.0, poly: Polynomial | None = None
+                 ) -> "AnalyticField":
         precision = np.eye(dimension) if precision is None else np.asarray(precision, float)
         mean = np.zeros(dimension) if mean is None else np.asarray(mean, float)
         poly = Polynomial.constant(dimension, 1.0) if poly is None else poly
-        return cls(dimension, [GaussianTerm(coefficient, poly, mean, precision)],
-                   flat_ok=flat_ok)
+        return cls(dimension,
+                   [GaussianTerm(coefficient, poly, mean, precision)])
 
     def __add__(self, other: "AnalyticField") -> "AnalyticField":
         if other.dimension != self.dimension:
             raise DimensionMismatchError("cannot add fields of different dimension")
-        return AnalyticField(self.dimension, self.terms + other.terms,
-                             flat_ok=self.flat_ok or other.flat_ok)
+        return AnalyticField(self.dimension, self.terms + other.terms)
 
     def scaled(self, factor: float) -> "AnalyticField":
         terms = [GaussianTerm(t.coefficient * factor, t.polynomial, t.mean, t.precision)
                  for t in self.terms]
-        return AnalyticField(self.dimension, terms, flat_ok=self.flat_ok)
+        return AnalyticField(self.dimension, terms)
 
     # -- evaluation --------------------------------------------------------
 
@@ -826,7 +822,7 @@ class AnalyticField:
             for _ in range(order):
                 poly = _envelope_derivative(poly, t, xi)
             terms.append(GaussianTerm(t.coefficient, poly, t.mean, t.precision))
-        return AnalyticField(self.dimension, terms, flat_ok=self.flat_ok)
+        return AnalyticField(self.dimension, terms)
 
     def affine_compose(self, matrix: np.ndarray) -> "AnalyticField":
         """Exact f(Mx): new precision M^T A M, mean M^{-1} mu, polynomial q(Mx)."""
@@ -845,7 +841,7 @@ class AnalyticField:
                 inv @ t.mean,
                 matrix.T @ t.precision @ matrix,
             ))
-        return AnalyticField(self.dimension, terms, flat_ok=self.flat_ok)
+        return AnalyticField(self.dimension, terms)
 
     def restrict(self, axis: int, fixed: np.ndarray) -> "AnalyticField":
         """One-dimensional slice u -> f(..., u at `axis`, ...) as an exact field.
@@ -863,8 +859,6 @@ class AnalyticField:
             d_o = fixed - t.mean[others]
             A_oo = t.precision[np.ix_(others, others)]
             # complete the square in the free coordinate
-            if a <= 0.0:
-                raise ValueError("restriction needs positive curvature on the axis")
             mu1 = t.mean[axis] - float(v @ d_o) / a
             const = float(d_o @ A_oo @ d_o) - float(v @ d_o) ** 2 / a
             # polynomial: substitute each frozen coordinate value
@@ -877,7 +871,7 @@ class AnalyticField:
                 np.array([mu1]),
                 np.array([[a]]),
             ))
-        return AnalyticField(1, terms, flat_ok=self.flat_ok)
+        return AnalyticField(1, terms)
 
     @functools.cached_property
     def covariance_envelope(self) -> np.ndarray:
@@ -893,7 +887,9 @@ class AnalyticField:
         means = []
         for t in self.terms:
             eigval, eigvec = np.linalg.eigh(t.precision)
-            # flat directions get a capped width instead of an infinite one
+            # a term wider than standard deviation 10 along an axis counts
+            # as 10 there; the boxes then cap their half widths at
+            # 4 x BOX_HALF_WIDTH
             eigval = np.maximum(eigval, 1e-2)
             covs.append(eigvec @ np.diag(1.0 / eigval) @ eigvec.T)
             means.append(t.mean)

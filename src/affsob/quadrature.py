@@ -107,13 +107,24 @@ class BoxQuadrature:
         half_widths = np.minimum(BOX_HALF_WIDTH * np.sqrt(eigval) * pad,
                                  4.0 * BOX_HALF_WIDTH)
         density = _DENSITY[n] * m0 / _DEFAULT_NODES[n]
-        nodes = []
-        for i in range(n):
-            curv = max(float(eigvec[:, i] @ t.precision @ eigvec[:, i])
-                       for t in field.terms) if field.terms else 1.0
-            m = int(math.ceil(density * half_widths[i] * math.sqrt(max(curv, 1e-8))))
-            nodes.append(min(max(m, m0 // 2, 8), _MAX_NODES_PER_AXIS))
-        return cls(half_widths, tuple(nodes), frame=eigvec)
+        nodes = _axis_nodes(field, eigvec, half_widths, density,
+                            max(m0 // 2, 8))
+        return cls(half_widths, nodes, frame=eigvec)
+
+
+def _axis_nodes(field: AnalyticField, frame: np.ndarray,
+                half_widths: np.ndarray, density: float,
+                floor: int) -> tuple[int, ...]:
+    """Gauss-Legendre nodes along each frame axis: `density` per unit of
+    half width times the square root of the field's largest curvature
+    along the axis, at least `floor` and at most _MAX_NODES_PER_AXIS."""
+    nodes = []
+    for axis, width in zip(frame.T, half_widths):
+        curv = max((float(axis @ t.precision @ axis) for t in field.terms),
+                   default=1.0)
+        m = int(math.ceil(density * width * math.sqrt(max(curv, 1e-8))))
+        nodes.append(min(max(m, floor), _MAX_NODES_PER_AXIS))
+    return tuple(nodes)
 
 
 # at this multiple of the field's support width, adjacent difference lobes
@@ -159,14 +170,8 @@ def directional_box(field: AnalyticField, xi: np.ndarray, order: int,
     widths = _support_widths(field, frame)
     t_sep = _SEPARATION_FACTOR * widths[0]
     widths[0] += 0.5 * order * t_sep
-    density = _DENSITY[n] * node_scale
-    nodes = []
-    for j in range(n):
-        curv = max((float(frame[:, j] @ t.precision @ frame[:, j])
-                    for t in field.terms), default=1.0)
-        m = int(math.ceil(density * widths[j] * math.sqrt(max(curv, 1e-8))))
-        nodes.append(min(max(m, 24), _MAX_NODES_PER_AXIS))
-    return BoxQuadrature(widths, tuple(nodes), frame=frame), t_sep
+    nodes = _axis_nodes(field, frame, widths, _DENSITY[n] * node_scale, 24)
+    return BoxQuadrature(widths, nodes, frame=frame), t_sep
 
 
 def gauss_legendre_nodes(half_width: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,12 +196,11 @@ class SphereQuadrature:
     N=2: equispaced angles with uniform weights (trapezoid, spectrally
     accurate for periodic integrands). N=3: Gauss-Legendre in cos(theta)
     times equispaced azimuth. `antipode` maps each node index to the index
-    of its negation; `build_sphere_quadrature` supplies it by construction,
-    and a rule built from arbitrary nodes has None.
+    of its negation; `build_sphere_quadrature` supplies it by construction.
     """
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray,
-                 antipode: np.ndarray | None = None):
+                 antipode: np.ndarray):
         self.nodes = nodes
         self.weights = weights
         self.antipode = antipode

@@ -73,7 +73,9 @@ class DirectionalEnergyProfile:
     the energies of an AnalyticField are closed forms, and tail_interval[j]
     bounds their rounding error.  On the derivative branch it is zero, and
     `samples` holds the _derivative_samples the energies came from (else
-    None).
+    None).  The profile is `degenerate` when some value is exactly zero,
+    which for an AnalyticField (positive definite precisions only) means
+    f = 0, as for a Gaussian plus its negative.
     """
 
     params: SmoothnessParams
@@ -141,11 +143,8 @@ def _integer_energies(samples, p: float, directions: np.ndarray) -> np.ndarray:
     weighted Gram matrix G = R^t R of the partials, with R the triangular
     factor of the weighted samples: |R W(xi)^t|^2 is nonnegative, and
     exactly 0 where W(xi) meets only all-zero partials, whose columns of R
-    are exactly zero.  Other p take the points in blocks that hold every
-    direction for about _SWEEP_BLOCK // (direction count) points, so the
-    partials are read once and each block's |derivative|^p stays in cache.
-    Those blocks' edges fix the last bits of the sums, so they are not the
-    walk of _point_blocks.
+    are exactly zero.  Other p take the points in the blocks of
+    _direction_blocks, so each block's |derivative|^p stays in cache.
     """
     alphas, mat, weights = samples
     W = directional_weight_matrix(directions, alphas)
@@ -153,17 +152,26 @@ def _integer_energies(samples, p: float, directions: np.ndarray) -> np.ndarray:
         r = np.linalg.qr((mat * np.sqrt(weights)).T, mode="r")
         values = np.sum((W @ r.T) ** 2, axis=1)
     else:
-        n_pts = mat.shape[1]
-        values = np.zeros(W.shape[0])
-        block = max(1, _SWEEP_BLOCK // W.shape[0])
-        work = np.empty((W.shape[0], min(block, n_pts)))
-        for lo in range(0, n_pts, block):
-            directional = W @ mat[:, lo:lo + block]
+        values, work = np.zeros(W.shape[0]), None
+        for points, directional in _direction_blocks(W, mat):
+            if work is None:  # the first block is the widest
+                work = np.empty_like(directional)
             _abs_power(directional, p, work[:, :directional.shape[1]])
-            values += directional @ weights[lo:lo + block]
+            values += directional @ weights[points]
     if not np.all(np.isfinite(values)):
         raise NumericalFailureError("non-finite directional energy")
     return values
+
+
+def _direction_blocks(W: np.ndarray, mat: np.ndarray):
+    """(points, W @ mat[:, points]) for consecutive slices of about
+    _SWEEP_BLOCK // (rows of W) sample points, so the partials are read
+    once.  The product's last bits depend on where the blocks end (with
+    ten partials, order 3 in 3-D), so these are not _point_blocks."""
+    size = max(1, _SWEEP_BLOCK // W.shape[0])
+    for lo in range(0, mat.shape[1], size):
+        points = slice(lo, lo + size)
+        yield points, W @ mat[:, points]
 
 
 def _separated_lobes_constant(order: int, p: float) -> float:
@@ -176,11 +184,10 @@ def directional_profile(field, params: SmoothnessParams,
     """Energies D(f, xi) at every node of the bundle's sphere quadrature,
     with differences of order floor(s)+1 on the non-integer branch."""
     sphere = quads.sphere
-    n = sphere.nodes.shape[0]
+    n, antipode = sphere.nodes.shape[0], sphere.antipode
     # reversing the direction leaves both energies unchanged: the derivative
     # flips sign, and the difference L^p norm survives a translation by
     # order*h and a sign flip, so antipodes share their energy
-    antipode = np.arange(n) if sphere.antipode is None else sphere.antipode
     targets = np.flatnonzero(antipode >= np.arange(n))
     values = np.empty(n)
     tails = np.empty(n)
@@ -216,9 +223,8 @@ def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
     exact = exact_directional_energies(field, directions, s, p, order)
     if exact is not None:
         return exact
-    # one term with a constant polynomial and a positive definite precision
-    if (not field.flat_ok and len(field.terms) == 1
-            and field.terms[0].polynomial.degree == 0):
+    # one term with a constant polynomial
+    if len(field.terms) == 1 and field.terms[0].polynomial.degree == 0:
         return _gaussian_energies(field, directions, s, p, order, quads)
     return _swept_energies(field, directions, s, p, order, quads)
 
@@ -489,8 +495,8 @@ class _SampleObjective:
     per-sample outputs.
     Every per-sample value is elementwise, so it does not depend on the
     blocking; the sums in `value` and `moment` are taken whole.  The
-    order >= 3 scan keeps its own blocks, and its `factors` contract the
-    partials at every sample at once.
+    order >= 3 scan walks the blocks of _direction_blocks, and its
+    `factors` contract the partials at every sample at once.
     Per-sample norms are column sums (_row_norms) and the 3-D order-2
     maxima np.maximum chains (_row_maxima).  numpy adds a row of fewer
     than 8 values in the same order, so the bits are those of
@@ -678,19 +684,14 @@ def _scan_objective(alphas: list[tuple[int, ...]], mat: np.ndarray,
 
     def scan(matrix):
         """Signed maximum h at each sample and the index of its xi*, in
-        blocks of samples that each hold about _SWEEP_BLOCK values.  With
-        ten partials (order 3 in 3-D) the product's last bits depend on
-        where the blocks end, so they keep their own edges, not those of
-        _point_blocks."""
+        the blocks of _direction_blocks."""
         W = directional_weight_matrix(directions @ matrix.T, alphas)
         h = np.empty(n_pts)
         top = np.empty(n_pts, dtype=np.intp)
-        block = max(1, _SWEEP_BLOCK // W.shape[0])
-        for lo in range(0, n_pts, block):
-            values = W @ mat[:, lo:lo + block]
-            top[lo:lo + block] = np.abs(values).argmax(axis=0)
-            h[lo:lo + block] = np.take_along_axis(
-                values, top[None, lo:lo + block], axis=0)[0]
+        for points, values in _direction_blocks(W, mat):
+            top[points] = np.abs(values).argmax(axis=0)
+            h[points] = np.take_along_axis(values, top[None, points],
+                                           axis=0)[0]
         return h, top
 
     def energies(matrix):
@@ -774,12 +775,12 @@ def seminorm(field, params: SmoothnessParams, quads: QuadratureBundle, *,
     return value
 
 
-def starred_seminorm(field, s: int, p: float, quads: QuadratureBundle, *,
+def starred_seminorm(field, s: float, p: float, quads: QuadratureBundle, *,
                      profile: DirectionalEnergyProfile | None = None) -> float:
     """Sphere-integrated variant for integer s: (int_S D(f,xi) dsigma)^(1/p)."""
-    if abs(s - round(s)) > 1e-12:
+    params = SmoothnessParams(float(s), p)
+    if params.fractional:
         raise ValueError("starred variant is defined for integer s")
-    params = SmoothnessParams(float(round(s)), p)
     return _profile_for(field, params, quads, profile).integrate() ** (1.0 / p)
 
 
@@ -789,29 +790,37 @@ def _one_d_seminorm_power(field: AnalyticField, params: SmoothnessParams,
 
     The unit sphere in one dimension is the pair {-1, +1}, so the
     difference branch is twice the one-sided radial energy: exact at even
-    p, else swept along a lengthened line.
+    p, else swept along a lengthened line (_one_d_swept_power).
     """
     if params.fractional:
-        order = params.difference_order
         exact = exact_directional_energies(field, np.array([[1.0]]), params.s,
-                                           params.p, order)
+                                           params.p, params.difference_order)
         if exact is not None:
             return 2.0 * float(exact[0][0])
-        t_sep = _SEPARATION_FACTOR * half_width
-        long_hw = half_width + 0.5 * order * t_sep
-        long_n = int(math.ceil(_SLICE_NODES * long_hw / half_width))
-        pts, wts = gauss_legendre_nodes(long_hw, long_n)
-        rq = quads.radial_range(t_sep)
-        fp = float(np.abs(field.evaluate(pts[:, None])) ** params.p @ wts)
-        far_constant = _separated_lobes_constant(order, params.p) * fp
-        samples = field.difference_lp_samples(
-            np.array([1.0]), rq.nodes, order, params.p, pts[:, None], wts)
-        value, _ = radial_from_samples(samples, params.s, params.p, order, rq,
-                                       far_constant=far_constant)
-        return 2.0 * value
+        return _one_d_swept_power(field, params, quads, half_width)
     pts, wts = gauss_legendre_nodes(half_width, _SLICE_NODES)
     values = field.partial_values(pts[:, None], _integer_order(params))[0]
     return float(np.abs(values) ** params.p @ wts)
+
+
+def _one_d_swept_power(field: AnalyticField, params: SmoothnessParams,
+                       quads: QuadratureBundle, half_width: float) -> float:
+    """Twice the one-sided radial energy of a 1-D field at fractional s,
+    from the difference sweep along a line lengthened by the lobe
+    separation scale, closed by the separated-lobes far field."""
+    order = params.difference_order
+    t_sep = _SEPARATION_FACTOR * half_width
+    long_hw = half_width + 0.5 * order * t_sep
+    long_n = int(math.ceil(_SLICE_NODES * long_hw / half_width))
+    pts, wts = gauss_legendre_nodes(long_hw, long_n)
+    rq = quads.radial_range(t_sep)
+    fp = float(np.abs(field.evaluate(pts[:, None])) ** params.p @ wts)
+    far_constant = _separated_lobes_constant(order, params.p) * fp
+    samples = field.difference_lp_samples(
+        np.array([1.0]), rq.nodes, order, params.p, pts[:, None], wts)
+    value, _ = radial_from_samples(samples, params.s, params.p, order, rq,
+                                   far_constant=far_constant)
+    return 2.0 * value
 
 
 def slice_seminorm_crosscheck(field: AnalyticField, params: SmoothnessParams,

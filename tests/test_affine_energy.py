@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from affsob import (AnalyticField, PsiSpec, SmoothnessParams, affine_energy,
-                    directional_profile, jensen_gap, psi_energy, seminorm,
-                    starred_seminorm)
+from affsob import (AnalyticField, PsiSpec, QuadratureBundle, RadialSpec,
+                    SmoothnessParams, affine_energy, directional_profile,
+                    jensen_gap, psi_energy, seminorm, starred_seminorm)
 
 P12 = SmoothnessParams(1.0, 2.0)
 
@@ -65,21 +65,19 @@ def test_dilation_covariance(lean2):
     assert dilated == pytest.approx(base / math.sqrt(2.0), rel=1e-9)
 
 
-def test_flat_profile_sends_the_energy_to_zero(bundle2):
-    ridge = AnalyticField.gaussian(2, precision=np.diag([0.0, 1.0]),
-                                   flat_ok=True)
-    result = affine_energy(ridge, P12, bundle2)
-    assert result.value == 0.0
-    assert result.degenerate
-
-
-def test_resolution_monitor_stamps_a_drift(aniso, bundle2):
-    plain = affine_energy(aniso, P12, bundle2)
-    assert plain.resolution_drift is None
-    monitored = affine_energy(aniso, P12, bundle2, monitor_resolution=True)
-    assert monitored.resolution_drift is not None
-    assert monitored.resolution_drift < 1e-9
-    assert monitored.value == plain.value
+def test_flat_profile_sends_the_energy_to_zero():
+    # f = 0, with no terms or as a Gaussian plus its negative, has exactly
+    # zero energy along every direction: on the derivative branch, from the
+    # exact engine at even p and from the box sweep at odd p
+    tiny = QuadratureBundle.default(2, box_nodes=24, sphere_resolution=8,
+                                    radial_spec=RadialSpec(panels=8))
+    cancelled = (AnalyticField.gaussian(2)
+                 + AnalyticField.gaussian(2, coefficient=-1.0))
+    for field in (AnalyticField(2, []), cancelled):
+        for s, p in ((1.0, 2.0), (2.0, 1.5), (0.5, 2.0), (0.5, 3.0)):
+            result = affine_energy(field, SmoothnessParams(s, p), tiny)
+            assert result.value == 0.0
+            assert result.degenerate
 
 
 def test_tail_budget_is_stamped_on_fractional_results(radial, lean2):

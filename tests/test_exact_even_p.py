@@ -133,8 +133,9 @@ def test_product_rules_match_the_swept_samples(seed, n_terms, degree, p,
 
 
 def test_three_dimensional_energy_matches_a_pinned_sweep():
-    # the box sweep of a flat_ok copy at 1.5 times the default 3-D tier
-    # took 20 s per direction; at twice the tier it moves by 1e-14
+    # pinned from the box sweep (_swept_energies) at 1.5 times the default
+    # 3-D tier, which took 20 s per direction; at twice the tier it moves
+    # by 1e-14
     terms = [GaussianTerm(1.0, Polynomial(3, {(0, 0, 0): 1.0, (1, 0, 0): 0.5,
                                               (0, 0, 1): -0.3}),
                           np.array([0.2, 0.0, -0.1]),

@@ -74,10 +74,9 @@ def test_gaussian_closed_form():
 def test_gaussian_rejects_indefinite_precision():
     with pytest.raises(ValueError):
         AnalyticField.gaussian(2, precision=np.diag([1.0, -1.0]))
-    # semidefinite passes only when flat directions are explicitly allowed
-    with pytest.raises(ValueError):
+    # a flat direction is refused too: such a field lies in no L^p
+    with pytest.raises(ValueError, match="positive definite"):
         AnalyticField.gaussian(2, precision=np.diag([1.0, 0.0]))
-    AnalyticField.gaussian(2, precision=np.diag([1.0, 0.0]), flat_ok=True)
     # past condition ~1/eps the smallest eigenvalue is rounding noise
     c, s = math.cos(0.4), math.sin(0.4)
     rot = np.array([[c, -s], [s, c]])

@@ -112,10 +112,7 @@ def test_dispatch_sweeps_only_what_the_formula_cannot_serve(paths):
             directional_profile(family[name], SmoothnessParams(s, p), quads)
     assert paths == {"swept": 0, "gaussian": 3 * half * len(gaussians)}
     paths["gaussian"] = 0
-    # even p takes the exact engine; a flat_ok Gaussian keeps the sweep
+    # even p takes the exact engine
     directional_profile(family["radial"], SmoothnessParams(0.5, 4.0), quads)
     directional_profile(MOVED, SmoothnessParams(1.5, 2.0), quads)
     assert paths == {"swept": 0, "gaussian": 0}
-    flat = AnalyticField(2, family["radial"].terms, flat_ok=True)
-    directional_profile(flat, SmoothnessParams(0.5, 3.0), quads)
-    assert paths == {"swept": half, "gaussian": 0}

@@ -260,6 +260,17 @@ def test_cli_bad_quadrature_value_is_a_config_error(tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_flat_inline_field_is_a_config_error(tmp_path, capsys):
+    # constant along the second axis, so in no L^p: only positive definite
+    # precisions are fields
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"s": 0.5, "p": 2, "field": {"terms": [{
+        "coefficient": 1.0, "polynomial": {"0,0": 1.0}, "mean": [0, 0],
+        "precision": [[1, 0], [0, 0]]}]}}), encoding="utf-8")
+    assert cli_main(["energy", "--config", str(config)]) == 2
+    assert "positive definite" in capsys.readouterr().err
+
+
 def test_cli_optimize_on_a_coarse_fractional_bundle(tmp_path, capsys):
     # descent runs on one profile of aniso, so no trial composes a field
     # and even this coarse bundle finds the closed-form minimizer

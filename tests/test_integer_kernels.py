@@ -111,18 +111,21 @@ def test_p2_gram_energies_on_a_grid_field(order):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_p2_energy_of_a_dead_direction_is_exactly_zero(order, bundle2):
-    # constant along axis 0: every partial that differentiates along it is
-    # an all-zero row, so the energy along e_0 is exactly 0.0 and the
-    # affine energy's degenerate flag sees it
-    ridge = AnalyticField.gaussian(2, precision=np.diag([0.0, 1.0]),
-                                   flat_ok=True)
-    samples = _derivative_samples(ridge, order, bundle2)
+    # every partial that differentiates along axis 0 an all-zero row, as
+    # for a function constant along it: the energy along e_0 is exactly 0.0
+    alphas, mat, weights = _derivative_samples(AnalyticField.gaussian(2),
+                                               order, bundle2)
+    mat[[alpha[0] > 0 for alpha in alphas]] = 0.0
     directions = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    got = _integer_energies(samples, 2.0, directions)
+    got = _integer_energies((alphas, mat, weights), 2.0, directions)
     assert got[0] == 0.0
     assert got[1] > 0.0 and got[2] > 0.0
-    profile = directional_profile(ridge, SmoothnessParams(float(order), 2.0),
-                                  bundle2)
+    # a Gaussian plus its negative has all-zero partials, and the profile's
+    # degenerate flag sees its zeros
+    cancelled = (AnalyticField.gaussian(2)
+                 + AnalyticField.gaussian(2, coefficient=-1.0))
+    profile = directional_profile(
+        cancelled, SmoothnessParams(float(order), 2.0), bundle2)
     assert profile.degenerate
 
 

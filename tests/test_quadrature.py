@@ -8,8 +8,8 @@ import pytest
 import scipy.integrate
 
 from affsob import (AnalyticField, BoxQuadrature, QuadratureBundle,
-                    RadialQuadrature, RadialSpec, SphereQuadrature,
-                    build_sphere_quadrature, pushforward_weight)
+                    RadialQuadrature, RadialSpec, build_sphere_quadrature,
+                    pushforward_weight)
 from affsob import SmoothnessParams, directional_profile
 from affsob.quadrature import (_leggauss, directional_box,
                                gauss_legendre_nodes, integrate_box,
@@ -63,11 +63,6 @@ def test_constructed_antipode_map_matches_search(dimension, resolutions):
         want = searched_antipode_map(sph.nodes)
         assert want is not None
         np.testing.assert_array_equal(sph.antipode, want)
-
-
-def test_sphere_from_arbitrary_nodes_has_no_antipode_map():
-    sph = SphereQuadrature(np.array([[0.6, 0.8]]), np.array([1.0]))
-    assert sph.antipode is None
 
 
 def test_cached_gauss_legendre_rules_are_shared_and_read_only():
@@ -183,7 +178,7 @@ def test_swept_profile_builds_the_envelope_once(family):
             return AnalyticField.covariance_envelope.func(self)
 
     base = family["hermite"]
-    field = Counting(base.dimension, base.terms, flat_ok=base.flat_ok)
+    field = Counting(base.dimension, base.terms)
     quads = QuadratureBundle.default(2, box_nodes=24, sphere_resolution=16,
                                      radial_spec=RadialSpec(panels=8))
     profile = directional_profile(field, SmoothnessParams(0.5, 3.0), quads)

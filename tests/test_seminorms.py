@@ -17,7 +17,8 @@ from affsob.autocorrelation import exact_directional_energies
 from affsob.constants import random_frames
 from affsob.family import weak_grid_field
 from affsob.quadrature import BOX_HALF_WIDTH
-from affsob.seminorms import _one_d_seminorm_power, _swept_energies
+from affsob.seminorms import (_one_d_seminorm_power, _one_d_swept_power,
+                              _swept_energies)
 
 E0 = np.array([1.0, 0.0])
 
@@ -154,14 +155,12 @@ def test_slice_crosscheck_agrees(family, bundle2, member, s, p):
 @pytest.mark.parametrize("s,p", [(0.5, 2.0), (0.5, 4.0), (1.5, 2.0)])
 def test_exact_slice_energy_matches_the_slice_sweep(family, bundle2, member,
                                                     s, p):
-    # a flat_ok copy of the same slice is refused by the exact engine, so
-    # it runs the 1-D sweep that odd p use
+    # the oracle is the 1-D sweep that odd p use
     params = SmoothnessParams(s, p)
     for u in (-1.3, 0.0, 0.7):
         piece = family[member].restrict(axis=0, fixed=np.array([u]))
-        swept = AnalyticField(1, piece.terms, flat_ok=True)
         got = _one_d_seminorm_power(piece, params, bundle2, BOX_HALF_WIDTH)
-        want = _one_d_seminorm_power(swept, params, bundle2, BOX_HALF_WIDTH)
+        want = _one_d_swept_power(piece, params, bundle2, BOX_HALF_WIDTH)
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -195,20 +194,18 @@ def test_weak_quasinorm_homogeneity_and_edge_cases():
         weak_quasinorm(grid, 0.0)
 
 
-def test_flat_direction_degenerates_the_profile(bundle2):
-    # constant along the first axis: the angle-zero sphere node sees an
-    # exactly vanishing derivative, so the profile carries a true zero
-    ridge = AnalyticField.gaussian(2, precision=np.diag([0.0, 1.0]),
-                                   flat_ok=True)
-    profile = directional_profile(ridge, SmoothnessParams(1.0, 2.0), bundle2)
-    assert profile.degenerate
-    # a flat axis that misses every node still leaves a node whose energy
-    # is below 1e-12 of the strongest
-    tilted = AnalyticField.gaussian(2, precision=np.diag([1.0, 0.0]),
-                                    flat_ok=True)
-    tilted_profile = directional_profile(tilted, SmoothnessParams(1.0, 2.0),
-                                         bundle2)
-    assert tilted_profile.min_value < 1e-12 * tilted_profile.values.max()
+def test_flat_direction_degenerates_the_profile():
+    # a Gaussian plus its negative: every partial and every difference is
+    # an exact zero, so every sphere node carries a true zero on the
+    # derivative branch, the exact engine (even p) and the sweep (odd p)
+    cancelled = (AnalyticField.gaussian(2)
+                 + AnalyticField.gaussian(2, coefficient=-1.0))
+    tiny = QuadratureBundle.default(2, box_nodes=24, sphere_resolution=8,
+                                    radial_spec=RadialSpec(panels=8))
+    for s, p in ((1.0, 2.0), (0.5, 2.0), (0.5, 3.0)):
+        profile = directional_profile(cancelled, SmoothnessParams(s, p), tiny)
+        assert profile.degenerate
+        assert not profile.values.any()
 
 
 def test_difference_branch_rejects_grid_fields():

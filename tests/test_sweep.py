@@ -113,19 +113,20 @@ def test_fused_sweep_matches_two_step_reference(seed, dimension, n_terms,
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def _flat_field(rng, dimension, degree):
-    """A flat_ok field whose precision is zero along the last axis, so the
-    lines along that axis have c = 0 and no Gaussian decay."""
-    eig = np.append(rng.uniform(0.5, 2.0, dimension - 1), 0.0)
-    monomials = [a for k in range(degree + 1)
-                 for a in multi_indices(dimension, k)]
-    poly = {monomials[i]: rng.uniform(-1.0, 1.0)
-            for i in rng.choice(len(monomials), size=min(3, len(monomials)),
-                                replace=False)}
-    return AnalyticField.gaussian(dimension, precision=np.diag(eig),
-                                  mean=rng.uniform(-1.0, 1.0, dimension),
-                                  poly=Polynomial(dimension, poly),
-                                  flat_ok=True)
+def _flat_line_values(terms, taus, order=0):
+    """d^order/dtau^order of the lines tau -> sum exp(-a/2 - tau b) P(tau)
+    that line terms with c = 0 describe, shape (K, P), by Leibniz's rule:
+    exp(-a/2 - tau b) sum_j C(order, j) (-b)^(order - j) P^(j)(tau)."""
+    tau = np.asarray(taus, dtype=float)[:, None]
+    total = np.zeros((tau.shape[0], terms[0][0].shape[0]))
+    for neg_half_a, b, half_c, rows in terms:
+        assert half_c == 0.0
+        factor = sum(math.comb(order, j) * (-b) ** (order - j)
+                     * sum(math.perm(k, j) * rows[k] * tau ** (k - j)
+                           for k in range(j, rows.shape[0]))
+                     for j in range(min(order, rows.shape[0] - 1) + 1))
+        total += np.exp(neg_half_a - tau * b) * factor
+    return total
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,23 +142,37 @@ def test_group_bounds_cover_every_literal_difference(seed, dimension,
                                                      n_terms, degree, order,
                                                      flat):
     rng = np.random.default_rng(seed)
-    if flat:
-        field = _flat_field(rng, dimension, degree)
-        xi = np.eye(dimension)[-1]
-    else:
-        field = _random_field(rng, dimension, n_terms, degree)
-        xi = rng.standard_normal(dimension)
-        xi /= np.linalg.norm(xi)
+    field = _random_field(rng, dimension, n_terms, degree)
+    xi = rng.standard_normal(dimension)
+    xi /= np.linalg.norm(xi)
     nodes = rng.uniform(-5.0, 5.0, (300, dimension))
+    terms = field._line_terms(nodes, xi)
+    if flat:
+        # c = 0, lines without Gaussian decay: rounding can take c there
+        # for a precision near the positive definite floor
+        terms = [(neg_half_a, b, 0.0, rows)
+                 for neg_half_a, b, _, rows in terms]
+
+        def line(sigma):
+            return _flat_line_values(terms, sigma)
+
+        def derivative_line(sigma):
+            return _flat_line_values(terms, sigma, order)
+    else:
+        derivative = field.directional_derivative(xi, order)
+
+        def line(sigma):
+            return field.line_values(nodes, xi, sigma)
+
+        def derivative_line(sigma):
+            return derivative.line_values(nodes, xi, sigma)
     ts = np.geomspace(0.05, 6.0, 48)
     steps = [(l - order / 2.0, math.comb(order, l) * (-1.0) ** (order - l))
              for l in range(order + 1)]
-    delta = sum(coeff * field.line_values(nodes, xi, offset * ts)
-                for offset, coeff in steps)
+    delta = sum(coeff * line(offset * ts) for offset, coeff in steps)
     groups = _step_groups(ts.shape[0])
     reach = 0.5 * order * np.array([ts[rows].max() for rows in groups])
-    large, small = _group_bounds(field._line_terms(nodes, xi), reach, order)
-    derivative = field.directional_derivative(xi, order)
+    large, small = _group_bounds(terms, reach, order)
     for rows, rho, large_g, small_g in zip(groups, reach, large, small):
         # the literal difference carries rounding of a few units of the
         # size of its shifted values, which large bounds
@@ -166,9 +181,9 @@ def test_group_bounds_cover_every_literal_difference(seed, dimension,
         assert np.all(np.abs(delta[rows]) <= bound * (1.0 + 1e-12) + slack)
         # and each bound covers its function sampled along the segment
         sigma = np.linspace(-rho, rho, 101)
-        assert np.all(2.0 ** order * np.abs(field.line_values(nodes, xi, sigma))
+        assert np.all(2.0 ** order * np.abs(line(sigma))
                       <= large_g * (1.0 + 1e-12))
-        assert np.all(np.abs(derivative.line_values(nodes, xi, sigma))
+        assert np.all(np.abs(derivative_line(sigma))
                       <= small_g * (1.0 + 1e-12) + 1e-300)
 
 
