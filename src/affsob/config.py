@@ -10,12 +10,14 @@ maps to exit code 2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from .family import family_member, field_from_spec, load_family_spec
 from .fields import SmoothnessParams
-from .quadrature import QuadratureBundle, RadialSpec
+from .quadrature import (_MAX_NODES_PER_AXIS, QuadratureBundle, RadialSpec,
+                         fitted_axes)
 from .sl_opt import OptimizerOptions
 
 
@@ -24,6 +26,11 @@ class ConfigError(ValueError):
 
 
 _QUAD_KEYS = {"box_nodes", "sphere_nodes", "t_panels"}
+# nodes of the largest fitted box a config may ask for: 4.5 times the
+# 885k of the doubled 3-D tier, whose s = 2, p = 2 energy peaks at about
+# 225 MB; 3-D box_nodes of about 159 reach it, and 640 nodes per axis
+# would make 262M
+_MAX_BOX_NODES = 4_000_000
 _OPT_KEYS = {f.name for f in dataclass_fields(OptimizerOptions)}
 _TOP_KEYS = {"dimension", "s", "p", "field", "quadrature", "optimizer"}
 
@@ -86,6 +93,21 @@ def _build_field(spec, dimension: int):
     raise ConfigError("field must be a family name or an inline term spec")
 
 
+def _check_box_size(field, quadrature: QuadratureBundle) -> None:
+    """Refuse a box_nodes whose fitted box for the field would exceed
+    _MAX_BOX_NODES, before any node is allocated.  An axis holds at most
+    _MAX_NODES_PER_AXIS nodes, so no 2-D box can, and a 2-D config pays
+    nothing for the check."""
+    if _MAX_NODES_PER_AXIS ** field.dimension <= _MAX_BOX_NODES:
+        return
+    counts = fitted_axes(field, quadrature.box_nodes)[1]
+    if math.prod(counts) > _MAX_BOX_NODES:
+        raise ConfigError(
+            f"box_nodes {quadrature.box_nodes} fits a box of "
+            f"{' x '.join(map(str, counts))} = {math.prod(counts)} nodes "
+            f"to this field, over the limit of {_MAX_BOX_NODES}")
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
@@ -104,6 +126,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     name, field = _build_field(raw.get("field", "radial"), dimension)
     quadrature = _build_quadrature(dimension, raw.get("quadrature"))
+    _check_box_size(field, quadrature)
     optimizer = _build_optimizer(raw.get("optimizer"))
     return RunConfig(dimension, params, name, field, quadrature, optimizer)
 

@@ -98,18 +98,26 @@ class BoxQuadrature:
     def fitted(cls, field: AnalyticField, base_nodes: int) -> "BoxQuadrature":
         """Box aligned with the field's spread, sized so the declared decay
         at the faces is at the same level as for the default cube."""
-        n = field.dimension
-        m0 = int(base_nodes)
-        env = field.covariance_envelope
-        eigval, eigvec = np.linalg.eigh(env)
-        eigval = np.clip(eigval, 1e-8, None)
-        pad = 1.0 + 0.06 * field.max_poly_degree()
-        half_widths = np.minimum(BOX_HALF_WIDTH * np.sqrt(eigval) * pad,
-                                 4.0 * BOX_HALF_WIDTH)
-        density = _DENSITY[n] * m0 / _DEFAULT_NODES[n]
-        nodes = _axis_nodes(field, eigvec, half_widths, density,
-                            max(m0 // 2, 8))
-        return cls(half_widths, nodes, frame=eigvec)
+        half_widths, nodes, frame = fitted_axes(field, base_nodes)
+        return cls(half_widths, nodes, frame=frame)
+
+
+def fitted_axes(field: AnalyticField, base_nodes: int
+                ) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """Half widths, node counts and frame of BoxQuadrature.fitted, without
+    its nodes: the counts tell the box's size before it is allocated."""
+    n = field.dimension
+    m0 = int(base_nodes)
+    env = field.covariance_envelope
+    eigval, eigvec = np.linalg.eigh(env)
+    eigval = np.clip(eigval, 1e-8, None)
+    pad = 1.0 + 0.06 * field.max_poly_degree()
+    half_widths = np.minimum(BOX_HALF_WIDTH * np.sqrt(eigval) * pad,
+                             4.0 * BOX_HALF_WIDTH)
+    density = _DENSITY[n] * m0 / _DEFAULT_NODES[n]
+    nodes = _axis_nodes(field, eigvec, half_widths, density,
+                        max(m0 // 2, 8))
+    return half_widths, nodes, eigvec
 
 
 def _axis_nodes(field: AnalyticField, frame: np.ndarray,
@@ -122,9 +130,16 @@ def _axis_nodes(field: AnalyticField, frame: np.ndarray,
     for axis, width in zip(frame.T, half_widths):
         curv = max((float(axis @ t.precision @ axis) for t in field.terms),
                    default=1.0)
-        m = int(math.ceil(density * width * math.sqrt(max(curv, 1e-8))))
-        nodes.append(min(max(m, floor), _MAX_NODES_PER_AXIS))
+        nodes.append(_node_count(density, width, curv, floor))
     return tuple(nodes)
+
+
+def _node_count(density: float, width: float, curvature: float,
+                floor: int) -> int:
+    """`density` nodes per unit of width times sqrt(curvature), at least
+    `floor` and at most _MAX_NODES_PER_AXIS."""
+    m = int(math.ceil(density * width * math.sqrt(max(curvature, 1e-8))))
+    return min(max(m, floor), _MAX_NODES_PER_AXIS)
 
 
 # at this multiple of the field's support width, adjacent difference lobes
@@ -172,6 +187,26 @@ def directional_box(field: AnalyticField, xi: np.ndarray, order: int,
     widths[0] += 0.5 * order * t_sep
     nodes = _axis_nodes(field, frame, widths, _DENSITY[n] * node_scale, 24)
     return BoxQuadrature(widths, nodes, frame=frame), t_sep
+
+
+def whitened_rules(dimension: int, degree: int, order: int,
+                   node_scale: float = 1.0
+                   ) -> tuple[np.ndarray, np.ndarray, BoxQuadrature, float]:
+    """directional_box of a unit-precision term of polynomial degree
+    `degree` centred at 0, axis by axis: the Gauss-Legendre nodes and
+    weights along the direction, the tensor rule across it (N - 1 axes)
+    and t_sep.  Every curvature is 1, so the node counts are those of
+    directional_box at the same widths: half width BOX_HALF_WIDTH times the
+    degree pad, lengthened along the direction by order * t_sep / 2."""
+    half = BOX_HALF_WIDTH * (1.0 + 0.06 * degree)
+    t_sep = _SEPARATION_FACTOR * half
+    along = half + 0.5 * order * t_sep
+    density = _DENSITY[dimension] * node_scale
+    u, w = gauss_legendre_nodes(along, _node_count(density, along, 1.0, 24))
+    count = _node_count(density, half, 1.0, 24)
+    cross = BoxQuadrature(np.full(dimension - 1, half),
+                          (count,) * (dimension - 1))
+    return u, w, cross, t_sep
 
 
 def gauss_legendre_nodes(half_width: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -366,6 +401,12 @@ class QuadratureBundle:
                             order: int) -> tuple[BoxQuadrature, float]:
         scale = self.box_nodes / _DEFAULT_NODES[self.dimension]
         return directional_box(field, xi, order, node_scale=scale)
+
+    def whitened_rules_for(self, degree: int, order: int
+                           ) -> tuple[np.ndarray, np.ndarray, BoxQuadrature,
+                                      float]:
+        scale = self.box_nodes / _DEFAULT_NODES[self.dimension]
+        return whitened_rules(self.dimension, degree, order, node_scale=scale)
 
     def scaled(self, factor: float) -> "QuadratureBundle":
         return QuadratureBundle(

@@ -18,6 +18,8 @@ import numpy as np
 
 from .autocorrelation import exact_directional_energies
 from .fields import (
+    _DROP_SHARE,
+    _DROP_TOLERANCE,
     _SWEEP_BLOCK,
     AnalyticField,
     GridField,
@@ -25,6 +27,7 @@ from .fields import (
     SmoothnessParams,
     _abs_power,
     _point_blocks,
+    _polynomial_partials,
     directional_weight_matrix,
     multi_indices,
 )
@@ -34,6 +37,7 @@ from .quadrature import (
     BoxQuadrature,
     QuadratureBundle,
     SphereQuadrature,
+    _frame_through,
     build_sphere_quadrature,
     gauss_legendre_nodes,
     integrate_box,
@@ -69,13 +73,16 @@ class DirectionalEnergyProfile:
     the value.  It does not cover the sphere error, nor E's node and panel
     error, which from 36 nodes and 16 panels on measured 1e-13 to 4e-7 of
     E for s in [0.1, 2.5] and p in [1, 5], largest at p = 5 and up to 1e3
-    times the interval.  At even p, integer sp/2 included,
-    the energies of an AnalyticField are closed forms, and tail_interval[j]
-    bounds their rounding error.  On the derivative branch it is zero, and
-    `samples` holds the _derivative_samples the energies came from (else
-    None).  The profile is `degenerate` when some value is exactly zero,
-    which for an AnalyticField (positive definite precisions only) means
-    f = 0, as for a Gaussian plus its negative.
+    times the interval.  One term with a polynomial factor at such p takes
+    the whitened line table (_single_term_energies), whose interval again
+    covers the head model and far field only, like the sweep's.  At even
+    p, integer sp/2 included, the energies of an AnalyticField are closed
+    forms, and tail_interval[j] bounds their rounding error.  On the
+    derivative branch it is zero, and `samples` holds the
+    _derivative_samples the energies came from (else None).  The profile is
+    `degenerate` when some value is exactly zero, which for an
+    AnalyticField (positive definite precisions only) means f = 0, as for a
+    Gaussian plus its negative.
     """
 
     params: SmoothnessParams
@@ -217,15 +224,19 @@ def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
     At even p the energies of an AnalyticField are exact (finite parts of
     Gaussian products, see autocorrelation.py, including integer sp/2) and
     the interval bounds their rounding.  Otherwise a single Gaussian takes
-    its energies from one 1-D line integral (_gaussian_energies), and every
-    other field is swept box by box (_swept_energies).
+    its energies from one 1-D line integral (_gaussian_energies), a single
+    term with a polynomial factor from one whitened line table that every
+    direction shares (_single_term_energies), and a field with several
+    terms is swept box by box (_swept_energies).
     """
     exact = exact_directional_energies(field, directions, s, p, order)
     if exact is not None:
         return exact
-    # one term with a constant polynomial
-    if len(field.terms) == 1 and field.terms[0].polynomial.degree == 0:
-        return _gaussian_energies(field, directions, s, p, order, quads)
+    if len(field.terms) == 1:
+        # one term with a constant polynomial
+        if field.terms[0].polynomial.degree == 0:
+            return _gaussian_energies(field, directions, s, p, order, quads)
+        return _single_term_energies(field, directions, s, p, order, quads)
     return _swept_energies(field, directions, s, p, order, quads)
 
 
@@ -354,6 +365,190 @@ def _positive_zeros(delta, reach: np.ndarray, most: int) -> np.ndarray:
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _single_term_energies(field: AnalyticField, directions: np.ndarray,
+                          s: float, p: float, order: int,
+                          quads: QuadratureBundle
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Energies of f = c q(x) exp(-(x - mu)^T A (x - mu) / 2) and their tail
+    intervals, in the whitened coordinates z = A^(1/2) (x - mu).
+
+    With nu = (xi^T A xi)^(1/2), the Householder frame through
+    eta = A^(1/2) xi / nu splits z into u along eta and y across it, and a
+    step t xi becomes h = nu t along u.  The centered difference factors:
+
+        Delta(u, y; h) = exp(-|y|^2 / 2) sum_j a_j(y) Gamma_j(u, h),
+        Gamma_j(u, h) = sum_l c_l (u + o_l h)^j phi(u + o_l h),
+
+    with phi(v) = exp(-v^2 / 2) and the Taylor rows
+    a_j(y) = c nu^(-j) (d_xi^j q)(mu + A^(-1/2) y) / j!, so that
+
+        D(f, xi) = det(A)^(-1/2) nu^(sp) int_0^inf h^(-1-sp) G(h) dh,
+        G(h) = int |exp(-|y|^2 / 2) sum_j a_j(y) Gamma_j(u, h)|^p du dy.
+
+    The Gamma_j table is one per profile, on rules every direction shares
+    (whitened_rules: the directional box of a unit-precision term, and the
+    radial rule up to its t_sep, in h); a direction only evaluates its a_j
+    on the cross-section nodes (_taylor_columns).  G comes from products of
+    the table with those columns (_table_energy), and the sweep's head
+    model and separated-lobes far field close the radial integral; the far
+    field takes the L^p mass of f on the fitted box, as the sweep does.  A
+    tail interval covers those two models only.  Memory: the table and its
+    magnitudes, (steps x U) x (degree + 1) each, two work arrays of about
+    _SWEEP_BLOCK values, and the columns of a block of directions.
+    """
+    term = field.terms[0]
+    degree = term.polynomial.degree
+    u, u_weights, cross, h_sep = quads.whitened_rules_for(degree, order)
+    rq = quads.radial_range(h_sep)
+    table = _line_table(u, u_weights ** (1.0 / p), rq.nodes, order, degree)
+    eig, vec = np.linalg.eigh(term.precision)
+    root = (vec * np.sqrt(eig)) @ vec.T
+    inverse_root = (vec / np.sqrt(eig)) @ vec.T
+    forms = np.einsum("ij,jk,ik->i", directions, term.precision, directions)
+    nus = np.sqrt(forms)
+    y = cross.nodes
+    # exp(-|y|^2 / 2) and the cross weight, the latter taken inside |.|^p
+    column_scale = (np.exp(-0.5 * np.einsum("ij,ij->i", y, y))
+                    * cross.weights ** (1.0 / p))
+    magnitudes = np.abs(table)
+    steps = rq.nodes.shape[0]
+    samples = np.empty((directions.shape[0], steps))
+    # the directions whose cross nodes make about _SWEEP_BLOCK points
+    per_block = max(1, _SWEEP_BLOCK // y.shape[0])
+    work = np.empty((2, max(_SWEEP_BLOCK, y.shape[0], table.shape[0])))
+    for lo in range(0, directions.shape[0], per_block):
+        block = slice(lo, lo + per_block)
+        taylor = _taylor_columns(term, directions[block], nus[block], root,
+                                 inverse_root, y)
+        for j, columns in enumerate(taylor, start=lo):
+            samples[j] = _table_energy(table, magnitudes,
+                                       columns * column_scale, p, steps, work)
+    log_det = float(np.log(eig).sum())
+    # the far field's L^p mass of f in the whitened coordinates
+    far_constant = (_separated_lobes_constant(order, p) * math.exp(
+        0.5 * log_det) * _lp_power(field, p, quads.box_for(field)))
+    values = np.empty(directions.shape[0])
+    tails = np.empty(directions.shape[0])
+    for j in range(directions.shape[0]):
+        values[j], tails[j] = radial_from_samples(
+            samples[j], s, p, order, rq, far_constant=far_constant)
+    scale = math.exp(-0.5 * log_det) * forms ** (0.5 * s * p)
+    return scale * values, scale * tails
+
+
+def _line_table(u: np.ndarray, u_scale: np.ndarray, hs: np.ndarray,
+                order: int, degree: int) -> np.ndarray:
+    """u_scale[i] Gamma_j(u[i], hs[k]) for j = 0 .. degree, one row per
+    (k, i), k-major: shape (K * U, degree + 1)."""
+    table = np.zeros((hs.shape[0], u.shape[0], degree + 1))
+    for l in range(order + 1):
+        v = u + (l - order / 2.0) * hs[:, None]
+        power = (math.comb(order, l) * (-1.0) ** (order - l)) * np.exp(
+            -0.5 * v * v)
+        for j in range(degree + 1):
+            table[:, :, j] += power
+            power *= v
+    table *= u_scale[:, None]
+    return table.reshape(-1, degree + 1)
+
+
+def _taylor_columns(term, directions: np.ndarray, nus: np.ndarray,
+                    root: np.ndarray, inverse_root: np.ndarray,
+                    y: np.ndarray) -> np.ndarray:
+    """a_j(y) = c nu^(-j) (d_xi^j q)(mu + A^(-1/2) Y) / j! at the cross
+    nodes y of each direction, where Y = (0, y) in the Householder frame
+    through A^(1/2) xi / nu: shape (directions, degree + 1, nodes).  Every
+    partial of q comes from one _polynomial_partials call over the
+    directions' nodes, and d_xi^j q / j! = sum_{|beta| = j} xi^beta / beta!
+    d^beta q."""
+    poly = term.polynomial
+    count = y.shape[0]
+    points = np.concatenate([
+        term.mean + y @ (inverse_root @ _frame_through(eta)[:, 1:]).T
+        for eta in (directions @ root) / nus[:, None]])
+    out = np.zeros((directions.shape[0], poly.degree + 1, count))
+    for beta, values in _polynomial_partials(poly, points.T,
+                                             poly.degree).items():
+        j = sum(beta)
+        weight = (term.coefficient * np.prod(directions ** np.array(beta),
+                                             axis=1)
+                  / (math.prod(map(math.factorial, beta)) * nus ** j))
+        out[:, j] += weight[:, None] * values.reshape(-1, count)
+    return out
+
+
+def _table_energy(table: np.ndarray, magnitudes: np.ndarray,
+                  columns: np.ndarray, p: float, steps: int,
+                  work: np.ndarray) -> np.ndarray:
+    """G at each of the `steps` steps: the sum over that step's rows of
+    `table` (from _line_table) and over the nodes of |table @ columns|^p.
+
+    With top_j = max |columns_j|, an entry is at most bound * spread, where
+    a row's bound = sum_j |table_j| top_j (`magnitudes` is |table|) and a
+    node's spread = max_j |columns_j| / top_j.  As the sweep drops nodes,
+    a row whose bound^p is at most _DROP_SHARE / U of its step's total,
+    and a node whose spread^p is at most _DROP_SHARE / P of the nodes'
+    total, are left out, and the pairs left out of a step add at most
+    (dropped rows' bound^p) (all spread^p) + (kept rows' bound^p)
+    (dropped nodes' spread^p).  A step where that exceeds _DROP_TOLERANCE
+    of its kept sum is summed again over every pair.  A bound that is not
+    finite keeps every pair, so a non-finite entry still reaches
+    _table_sums, which raises NumericalFailureError.
+    """
+    top = np.abs(columns).max(axis=1)
+    with np.errstate(all="ignore"):
+        spread = np.divide(np.abs(columns), top[:, None],
+                           out=np.zeros_like(columns),
+                           where=top[:, None] > 0.0).max(axis=0) ** p
+        bound = magnitudes @ top
+        _abs_power(bound, p, work[0, :bound.shape[0]])
+        bound = bound.reshape(steps, -1)
+        totals = bound.sum(axis=1)
+        mass = float(spread.sum())
+    if not (np.all(np.isfinite(totals)) and math.isfinite(mass)):
+        return _table_sums(table, np.arange(table.shape[0]), columns, p,
+                           steps, work)
+    if mass == 0.0:
+        # every a_j vanishes on the cross nodes, as for a zero amplitude
+        return np.zeros(steps)
+    dropped = bound <= (_DROP_SHARE / bound.shape[1]) * totals[:, None]
+    left = spread <= (_DROP_SHARE / spread.shape[0]) * mass
+    rows_out = np.add.reduce(bound, axis=1, where=dropped)
+    charged = (rows_out * mass
+               + (totals - rows_out) * float(spread[left].sum()))
+    sums = _table_sums(table, np.flatnonzero(~dropped),
+                       columns[:, ~left], p, steps, work)
+    short = charged > _DROP_TOLERANCE * sums
+    if short.any():
+        every = np.flatnonzero(np.repeat(short, bound.shape[1]))
+        sums[short] = _table_sums(table, every, columns, p, steps,
+                                  work)[short]
+    return sums
+
+
+def _table_sums(table: np.ndarray, rows: np.ndarray, columns: np.ndarray,
+                p: float, steps: int, work: np.ndarray) -> np.ndarray:
+    """Per step, the sum over the given rows of `table` (indices, in
+    order) and over the nodes of |table @ columns|^p, in blocks of rows
+    that fill the two rows of `work`, at least one table row each."""
+    size = max(1, work.shape[1] // columns.shape[1])
+    work = work[:, :size * columns.shape[1]].reshape(2, size, -1)
+    sums = np.empty(rows.shape[0])
+    # a product with ones sums each row faster than numpy's reduction
+    ones = np.ones(columns.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, rows.shape[0], size):
+            part = rows[lo:lo + size]
+            block = np.matmul(table[part], columns,
+                              out=work[0, :part.shape[0]])
+            _abs_power(block, p, work[1, :part.shape[0]])
+            np.matmul(block, ones, out=sums[lo:lo + size])
+    if not np.all(np.isfinite(sums)):
+        raise NumericalFailureError("non-finite difference values")
+    return np.bincount(rows // (table.shape[0] // steps), weights=sums,
+                       minlength=steps)
 
 
 def _swept_energies(field: AnalyticField, directions: np.ndarray, s: float,

@@ -8,6 +8,7 @@ import pytest
 from affsob import (AnalyticField, PsiSpec, QuadratureBundle, RadialSpec,
                     SmoothnessParams, affine_energy, directional_profile,
                     jensen_gap, psi_energy, seminorm, starred_seminorm)
+from affsob.fields import Polynomial
 
 P12 = SmoothnessParams(1.0, 2.0)
 
@@ -66,14 +67,17 @@ def test_dilation_covariance(lean2):
 
 
 def test_flat_profile_sends_the_energy_to_zero():
-    # f = 0, with no terms or as a Gaussian plus its negative, has exactly
-    # zero energy along every direction: on the derivative branch, from the
-    # exact engine at even p and from the box sweep at odd p
+    # f = 0, with no terms, as a Gaussian plus its negative or as a term of
+    # zero amplitude, has exactly zero energy along every direction: on the
+    # derivative branch, from the exact engine at even p and from the box
+    # sweep or the line table at odd p
     tiny = QuadratureBundle.default(2, box_nodes=24, sphere_resolution=8,
                                     radial_spec=RadialSpec(panels=8))
     cancelled = (AnalyticField.gaussian(2)
                  + AnalyticField.gaussian(2, coefficient=-1.0))
-    for field in (AnalyticField(2, []), cancelled):
+    silent = AnalyticField.gaussian(2, coefficient=0.0,
+                                    poly=Polynomial(2, {(1, 0): 1.0}))
+    for field in (AnalyticField(2, []), cancelled, silent):
         for s, p in ((1.0, 2.0), (2.0, 1.5), (0.5, 2.0), (0.5, 3.0)):
             result = affine_energy(field, SmoothnessParams(s, p), tiny)
             assert result.value == 0.0

@@ -201,7 +201,8 @@ def sweep_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("order", [1, 2, 4])
-def test_p2_profiles_build_no_sweep(order, sweep_calls, hermite, lean2):
+def test_p2_profiles_build_no_sweep(order, sweep_calls, hermite, family,
+                                    lean2):
     # every even p, the pole sp = 2 at p = 4 included; a 2-D rule's first
     # half holds one node of each antipodal pair, which is what a profile
     # computes
@@ -213,10 +214,13 @@ def test_p2_profiles_build_no_sweep(order, sweep_calls, hermite, lean2):
         directional_energy(hermite, SmoothnessParams(0.5, p),
                            np.array([0.6, 0.8]), lean2)
     assert sweep_calls == []
-    # odd p keeps the sweep
+    # at odd p one term takes the whitened line table, and a field with two
+    # terms keeps the sweep
     tiny = QuadratureBundle.default(2, box_nodes=24, sphere_resolution=4,
                                     radial_spec=RadialSpec(panels=8))
     directional_profile(hermite, SmoothnessParams(0.5, 3.0), tiny)
+    assert sweep_calls == ["radial_from_samples"] * 2
+    directional_profile(family["twobump"], SmoothnessParams(0.5, 3.0), tiny)
     assert sweep_calls.count("difference_lp_samples") == 2
 
 

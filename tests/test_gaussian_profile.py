@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from affsob import (AnalyticField, QuadratureBundle, SmoothnessParams,
                     directional_profile, seminorms, standard_family)
 from affsob.autocorrelation import exact_directional_energies
+from affsob.fields import Polynomial
 from affsob.seminorms import (_gaussian_energies, _gaussian_line_energy,
                               _swept_energies)
 
@@ -80,9 +81,9 @@ def test_profile_agrees_with_the_doubled_sweep(s, p):
 
 @pytest.fixture()
 def paths(monkeypatch):
-    """Directions swept box by box, and directions served by the line
-    integral, over the profiles of one test."""
-    counts = {"swept": 0, "gaussian": 0}
+    """Directions swept box by box, served by the line integral and served
+    by the whitened line table, over the profiles of one test."""
+    counts = {"swept": 0, "gaussian": 0, "table": 0}
 
     def spy(name, key):
         original = getattr(seminorms, name)
@@ -94,6 +95,7 @@ def paths(monkeypatch):
 
     spy("_swept_energies", "swept")
     spy("_gaussian_energies", "gaussian")
+    spy("_single_term_energies", "table")
     return counts
 
 
@@ -102,17 +104,29 @@ def test_dispatch_sweeps_only_what_the_formula_cannot_serve(paths):
     quads = QuadratureBundle.default(2, box_nodes=24, sphere_resolution=8)
     # a profile computes one direction of each antipodal pair
     half = quads.sphere.nodes.shape[0] // 2
-    for name in ("hermite", "twobump"):
-        directional_profile(family[name], SmoothnessParams(0.5, 3.0), quads)
-        assert paths == {"swept": half, "gaussian": 0}, name
-        paths["swept"] = 0
+    # two terms sweep
+    directional_profile(family["twobump"], SmoothnessParams(0.5, 3.0), quads)
+    assert paths == {"swept": half, "gaussian": 0, "table": 0}
+    paths["swept"] = 0
+    # one term with a polynomial factor takes the table, off the origin and
+    # with a linear factor too
+    linear = AnalyticField.gaussian(
+        2, precision=[[1.5, 0.3], [0.3, 0.8]], mean=[0.4, -0.7],
+        poly=Polynomial(2, {(1, 0): 0.5, (0, 1): -1.0, (0, 0): 0.2}))
+    for field in (family["hermite"], linear):
+        for s, p in ((0.5, 3.0), (1.5, 1.0)):
+            directional_profile(field, SmoothnessParams(s, p), quads)
+    assert paths == {"swept": 0, "gaussian": 0, "table": 4 * half}
+    paths["table"] = 0
     gaussians = ["radial", "aniso", "shear1", "shear2", "shear4", "bump"]
     for name in gaussians:
         for s, p in ((0.5, 3.0), (1.5, 1.0), (0.75, 2.5)):
             directional_profile(family[name], SmoothnessParams(s, p), quads)
-    assert paths == {"swept": 0, "gaussian": 3 * half * len(gaussians)}
+    assert paths == {"swept": 0, "gaussian": 3 * half * len(gaussians),
+                     "table": 0}
     paths["gaussian"] = 0
     # even p takes the exact engine
     directional_profile(family["radial"], SmoothnessParams(0.5, 4.0), quads)
     directional_profile(MOVED, SmoothnessParams(1.5, 2.0), quads)
-    assert paths == {"swept": 0, "gaussian": 0}
+    directional_profile(family["hermite"], SmoothnessParams(0.5, 4.0), quads)
+    assert paths == {"swept": 0, "gaussian": 0, "table": 0}

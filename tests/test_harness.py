@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,32 @@ def test_cli_flat_inline_field_is_a_config_error(tmp_path, capsys):
     assert "positive definite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["energy", "optimize"])
+def test_cli_oversized_box_is_a_config_error(tmp_path, capsys, command):
+    # 2000 base nodes would fit a 640^3 box (262M nodes, over 6 GB of
+    # nodes) to this 3-D Gaussian; the config is refused from the node
+    # counts alone, before anything is allocated
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "dimension": 3, "s": 1, "p": 2, "field": {"terms": [{
+            "coefficient": 1.0, "polynomial": {"0,0,0": 1.0},
+            "mean": [0, 0, 0], "precision": np.eye(3).tolist()}]},
+        "quadrature": {"box_nodes": 2000}}), encoding="utf-8")
+    start = time.perf_counter()
+    assert cli_main([command, "--config", str(config)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "640 x 640 x 640 = 262144000 nodes" in err
+    assert "over the limit of 4000000" in err
+    # the doubled 3-D tier of the CI run stays within the limit, and a 2-D
+    # box, at most 640^2 nodes, always does
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    raw["quadrature"]["box_nodes"] = 96
+    assert config_from_dict(raw).quadrature.box_nodes == 96
+    cfg = config_from_dict({"quadrature": {"box_nodes": 100000}})
+    assert cfg.quadrature.box_nodes == 100000
+
+
 def test_cli_optimize_on_a_coarse_fractional_bundle(tmp_path, capsys):
     # descent runs on one profile of aniso, so no trial composes a field
     # and even this coarse bundle finds the closed-form minimizer
@@ -313,7 +340,7 @@ def test_cli_sweep_failure_is_a_numerical_failure(monkeypatch, tmp_path,
     monkeypatch.setattr(AnalyticField, "difference_lp_samples", fail)
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
-        "dimension": 2, "s": 0.5, "p": 3.0, "field": "hermite",
+        "dimension": 2, "s": 0.5, "p": 3.0, "field": "twobump",
         "quadrature": {"box_nodes": 36, "sphere_nodes": 32, "t_panels": 16},
     }), encoding="utf-8")
     assert cli_main(["energy", "--config", str(config)]) == 3

@@ -167,8 +167,8 @@ def test_directional_box_radial_symmetry():
 
 def test_swept_profile_builds_the_envelope_once(family):
     # the fitted box and every direction's box share one covariance
-    # envelope, computed once per field; it is read-only.  hermite's
-    # polynomial factor keeps it on the box sweep at odd p
+    # envelope, computed once per field; it is read-only.  twobump's two
+    # terms keep it on the box sweep at odd p
     calls = []
 
     class Counting(AnalyticField):
@@ -177,7 +177,7 @@ def test_swept_profile_builds_the_envelope_once(family):
             calls.append(1)
             return AnalyticField.covariance_envelope.func(self)
 
-    base = family["hermite"]
+    base = family["twobump"]
     field = Counting(base.dimension, base.terms)
     quads = QuadratureBundle.default(2, box_nodes=24, sphere_resolution=16,
                                      radial_spec=RadialSpec(panels=8))
