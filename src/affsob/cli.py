@@ -77,8 +77,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_energy(args) -> int:
-    cfg = parse_config(args.config)
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for dicts with string
+    keys, lists and JSON scalars.  indent makes json take its pure-Python
+    encoder, whose calls per item cost more than float.__repr__ itself on
+    a 3-D profile's floats.  The repr of a list of floats joins their
+    float.__repr__ with ", " in C, as json writes finite floats; a sum of
+    finite floats is finite short of an overflow, and an overflow only
+    sends the list down the item-by-item path.  Scalars go to json.dumps."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = (",\n" + inner).join(
+            f"{json.dumps(key)}: {_json_text(value[key], inner)}"
+            for key in sorted(value))
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if not isinstance(value, list):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    if set(map(type, value)) == {float} and sum(value) - sum(value) == 0.0:
+        body = repr(value)[1:-1].replace(", ", ",\n" + inner)
+    else:
+        body = (",\n" + inner).join(_json_text(item, inner) for item in value)
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
+def _energy_payload(cfg) -> dict:
+    """The semi-norm, affine energy and profile of one configuration, as
+    `affsob energy --out` writes them."""
     profile = directional_profile(cfg.field, cfg.params, cfg.quadrature)
     result = affine_energy(cfg.field, cfg.params, cfg.quadrature,
                            profile=profile)
@@ -101,12 +129,17 @@ def _cmd_energy(args) -> int:
         payload["starred_seminorm"] = starred_seminorm(
             cfg.field, cfg.params.s, cfg.params.p, cfg.quadrature,
             profile=profile)
+    return payload
+
+
+def _cmd_energy(args) -> int:
+    cfg = parse_config(args.config)
+    payload = _energy_payload(cfg)
     print(f"field {cfg.field_name}: seminorm {payload['seminorm']!r}, "
-          f"energy {result.value!r}, degenerate {result.degenerate}")
+          f"energy {payload['affine_energy']!r}, "
+          f"degenerate {payload['degenerate']}")
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2,
-                                             sort_keys=True),
-                                  encoding="utf-8")
+        Path(args.out).write_text(_json_text(payload), encoding="utf-8")
     return 0
 
 

@@ -10,6 +10,7 @@ is what the affine energies aggregate, so it is computed once and reused.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field as dataclass_field
@@ -39,6 +40,7 @@ from .quadrature import (
     SphereQuadrature,
     _frame_through,
     build_sphere_quadrature,
+    fitted_axes,
     gauss_legendre_nodes,
     integrate_box,
     radial_from_samples,
@@ -53,6 +55,20 @@ _PUSHFORWARD_TOL = 1e-3
 # along each slice before it is lengthened for the differences
 _SLICE_TRANSVERSE_NODES = 96
 _SLICE_NODES = 192
+
+# the s = 1 polar rule of a single Gaussian is sized for, and trusts, T
+# with cond(T^t A^(1/2)) up to this multiple of cond(A^(1/2)), and puts
+# this many nodes per unit of that condition round every circle: from
+# condition 2 to 160 the trapezoid rule then integrates |M theta|^p,
+# p in {1, 1.5, 3}, to 5e-15, and the 3-D rule (as many azimuths, half as
+# many Gauss-Legendre bands) to 4e-14
+_POLAR_MARGIN = 4.0
+_POLAR_NODES_PER_CONDITION = 25.0
+
+# the tanh-sinh rule of J_k(p) on each piece between roots of He_k: step
+# and reach in t, where the weights are below 1e-80 of the piece
+_TANH_SINH_STEP = 1.0 / 32.0
+_TANH_SINH_REACH = 4.0
 
 _EXCLUDED_MESSAGE = (
     "derivative order >= 2 with p = 1 sits outside the two-sided comparison "
@@ -79,10 +95,14 @@ class DirectionalEnergyProfile:
     p, integer sp/2 included, the energies of an AnalyticField are closed
     forms, and tail_interval[j] bounds their rounding error.  On the
     derivative branch it is zero, and `samples` holds the
-    _derivative_samples the energies came from (else None).  The profile is
-    `degenerate` when some value is exactly zero, which for an
-    AnalyticField (positive definite precisions only) means f = 0, as for a
-    Gaussian plus its negative.
+    _derivative_samples of the objective (else None), which the energies
+    came from.  A single Gaussian's energies are closed forms instead
+    (_gaussian_derivative_energies); its samples are polar at s = 1, the
+    vectors A^(1/2) theta_j of a sphere rule (_polar_samples), and the
+    box's partials at s >= 2, or where the polar rule would outgrow the
+    box.  The profile is `degenerate` when some value is exactly zero,
+    which for an AnalyticField (positive definite precisions only) means
+    f = 0, as for a Gaussian plus its negative.
     """
 
     params: SmoothnessParams
@@ -200,6 +220,10 @@ def directional_profile(field, params: SmoothnessParams,
     tails = np.empty(n)
     values[targets], tails[targets], samples = _direction_energies(
         field, params, sphere.nodes[targets], quads)
+    if samples is None and not params.fractional:
+        # closed-form energies; the profile keeps the objective's samples
+        samples = _derivative_samples(field, _integer_order(params), quads,
+                                      params.p)
     values[antipode[targets]] = values[targets]
     tails[antipode[targets]] = tails[targets]
     return DirectionalEnergyProfile(params, sphere, values, tails, samples)
@@ -232,10 +256,9 @@ def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
     exact = exact_directional_energies(field, directions, s, p, order)
     if exact is not None:
         return exact
+    if _single_gaussian(field):
+        return _gaussian_energies(field, directions, s, p, order, quads)
     if len(field.terms) == 1:
-        # one term with a constant polynomial
-        if field.terms[0].polynomial.degree == 0:
-            return _gaussian_energies(field, directions, s, p, order, quads)
         return _single_term_energies(field, directions, s, p, order, quads)
     return _swept_energies(field, directions, s, p, order, quads)
 
@@ -252,15 +275,87 @@ def _gaussian_energies(field: AnalyticField, directions: np.ndarray, s: float,
     with E the one-sided energy of the 1-D unit Gaussian
     (_gaussian_line_energy).  The mean drops out, and the tail intervals
     scale by the same factor."""
-    term = field.terms[0]
-    # the one coefficient of a constant polynomial, 0 for the zero one
-    c = term.coefficient * float(term.polynomial.coefficients.sum())
-    _, log_det = np.linalg.slogdet(term.precision)
-    forms = np.einsum("ij,jk,ik->i", directions, term.precision, directions)
-    scale = (abs(c) ** p * (2.0 * math.pi / p) ** (0.5 * (field.dimension - 1))
-             * math.exp(-0.5 * log_det)) * forms ** (0.5 * s * p)
+    scale = _gaussian_scale(field, directions, p, 0.5 * s * p)
     energy, tail = _gaussian_line_energy(s, p, order, quads)
     return scale * energy, scale * tail
+
+
+def _single_gaussian(field) -> bool:
+    """True for an AnalyticField of one term with a constant polynomial."""
+    return (isinstance(field, AnalyticField) and len(field.terms) == 1
+            and field.terms[0].polynomial.degree == 0)
+
+
+def _gaussian_amplitude(field: AnalyticField) -> float:
+    """c of a single Gaussian c exp(-(x - mu)^T A (x - mu) / 2): the one
+    coefficient of its constant polynomial, 0 for the zero one."""
+    term = field.terms[0]
+    return term.coefficient * float(term.polynomial.coefficients.sum())
+
+
+def _gaussian_scale(field: AnalyticField, directions: np.ndarray, p: float,
+                    exponent: float) -> np.ndarray:
+    """|c|^p (2 pi / p)^((N-1)/2) det(A)^(-1/2) (xi^T A xi)^exponent along
+    each direction: the factor of a single Gaussian's directional energies
+    that holds everything but a 1-D integral."""
+    term = field.terms[0]
+    _, log_det = np.linalg.slogdet(term.precision)
+    forms = np.einsum("ij,jk,ik->i", directions, term.precision, directions)
+    return (abs(_gaussian_amplitude(field)) ** p
+            * (2.0 * math.pi / p) ** (0.5 * (field.dimension - 1))
+            * math.exp(-0.5 * log_det)) * forms ** exponent
+
+
+def _gaussian_derivative_energies(field: AnalyticField,
+                                  directions: np.ndarray, order: int,
+                                  p: float) -> np.ndarray:
+    """D(f, xi) = int |d^k_xi f|^p dx of a single Gaussian at order k:
+
+        D(f, xi) = |c|^p (2 pi / p)^((N-1)/2) det(A)^(-1/2)
+                   (xi^T A xi)^(kp/2) J_k(p).
+
+    In z = A^(1/2) (x - mu), with u the coordinate along A^(1/2) xi and y
+    across it, d^k_xi f = c (xi^T A xi)^(k/2) (-1)^k He_k(u)
+    exp(-(u^2 + |y|^2) / 2), so y integrates in closed form and u gives
+    J_k(p) (_hermite_power_integral)."""
+    return _hermite_power_integral(order, p) * _gaussian_scale(
+        field, directions, p, 0.5 * order * p)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_power_integral(order: int, p: float) -> float:
+    """J_k(p) = int |He_k(u)|^p exp(-p u^2 / 2) du over the line, with He_k
+    the monic Hermite polynomial of order k.
+
+    J_1(p) = (2/p)^((p+1)/2) Gamma((p+1)/2).  From k = 2 on the integrand
+    is even, so J_k(p) is twice the integral over [0, r + 40 / sqrt(p)],
+    with r the largest root of He_k: beyond it exp(-p u^2 / 2) has fallen
+    by exp(-800).  That range is split at the positive roots, where
+    |He_k|^p behaves like |u - r|^p, which Gauss-Legendre pieces resolve
+    only algebraically (4.5e-9 off at p = 1.5).  A tanh-sinh rule on each
+    piece clusters its nodes double exponentially at both ends; it met
+    mpmath to 3e-15 for k <= 4 and p in [1, 4.5].  He_k is the product of
+    u - r over its roots, taken in logarithms so that no power overflows.
+    """
+    if order == 1:
+        return (2.0 / p) ** (0.5 * (p + 1.0)) * math.gamma(0.5 * (p + 1.0))
+    # hermeroots sorts the roots, which are symmetric about 0
+    positive = np.polynomial.hermite_e.hermeroots(
+        (0.0,) * order + (1.0,))[order - order // 2:]
+    roots = np.concatenate([-positive[::-1], np.zeros(order % 2), positive])
+    edges = np.concatenate([[0.0], positive,
+                            [positive[-1] + 40.0 / math.sqrt(p)]])
+    count = int(math.ceil(_TANH_SINH_REACH / _TANH_SINH_STEP))
+    t = _TANH_SINH_STEP * np.arange(-count, count + 1)
+    arg = 0.5 * math.pi * np.sinh(t)
+    weights = _TANH_SINH_STEP * 0.5 * math.pi * np.cosh(t) / np.cosh(arg) ** 2
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    u = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * np.tanh(arg)
+    with np.errstate(divide="ignore"):
+        # log 0 = -inf at the roots, where the integrand is exactly 0
+        logs = np.log(np.abs(u[:, :, None] - roots)).sum(axis=2)
+    integrand = np.exp(p * (logs - 0.5 * u * u))
+    return 2.0 * float(np.sum(half * weights * integrand))
 
 
 def _gaussian_line_energy(s: float, p: float, order: int,
@@ -585,25 +680,36 @@ def directional_energy(field, params: SmoothnessParams, xi: np.ndarray,
 def _direction_energies(field, params: SmoothnessParams,
                         directions: np.ndarray, quads: QuadratureBundle
                         ) -> tuple[np.ndarray, np.ndarray, tuple | None]:
-    """Energy, tail interval and derivative samples (None for differences)
-    along the directions: derivative branch at integer s, else differences."""
+    """Energy, tail interval and derivative samples (None for differences
+    and for a single Gaussian's closed forms) along the directions:
+    derivative branch at integer s, else differences."""
     if not params.fractional:
         _warn_if_excluded(params, stacklevel=4)
-        samples = _derivative_samples(field, _integer_order(params), quads)
-        return (_integer_energies(samples, params.p, directions),
-                np.zeros(directions.shape[0]), samples)
+        order = _integer_order(params)
+        zeros = np.zeros(directions.shape[0])
+        if _single_gaussian(field):
+            return (_gaussian_derivative_energies(field, directions, order,
+                                                  params.p), zeros, None)
+        samples = _derivative_samples(field, order, quads, params.p)
+        return _integer_energies(samples, params.p, directions), zeros, samples
     if isinstance(field, GridField):
         raise ValueError("difference-quotient branch needs an analytic field")
     return (*_radial_energies(field, directions, params.s, params.p,
                               params.difference_order, quads), None)
 
 
-def _derivative_samples(field, order: int, quads: QuadratureBundle
+def _derivative_samples(field, order: int, quads: QuadratureBundle,
+                        p: float
                         ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """All order-k partials, one row per multi-index, at the nodes of the
     bundle's box for the field with their weights, which a derivative
-    profile keeps; a GridField's are central differences, axis 0 first."""
+    profile keeps; a GridField's are central differences, axis 0 first.
+    A single Gaussian's order-1 samples are polar instead, with weights
+    that depend on p (_polar_samples), unless its rule outgrows the box."""
     alphas = multi_indices(field.dimension, order)
+    plan = _polar_plan(field, quads) if order == 1 else None
+    if plan is not None:
+        return _polar_samples(field, alphas, p, plan)
     if not isinstance(field, GridField):
         box = quads.box_for(field)
         return alphas, field.partial_values(box.nodes, order), box.weights
@@ -617,6 +723,58 @@ def _derivative_samples(field, order: int, quads: QuadratureBundle
                 g = np.gradient(g, field.spacing[axis], axis=axis)
         rows.append(g.ravel())
     return alphas, np.stack(rows), np.full(field.values.size, field.cell_volume)
+
+
+def _polar_plan(field, quads: QuadratureBundle
+                ) -> tuple[np.ndarray, float, int] | None:
+    """A^(1/2), the condition limit and the sphere rule's resolution for
+    the s = 1 samples of a single Gaussian; None for other fields, and
+    where the rule would hold more nodes than the field's fitted box,
+    which then serves.
+
+    The samples resolve T with cond(T^t A^(1/2)) up to the limit,
+    _POLAR_MARGIN cond(A^(1/2)), and the rule puts
+    _POLAR_NODES_PER_CONDITION times the limit nodes round a circle: a
+    trapezoid rule of that many nodes in 2-D, and in 3-D half as many
+    Gauss-Legendre bands with that many azimuths each."""
+    if not _single_gaussian(field):
+        return None
+    eig, vec = np.linalg.eigh(field.terms[0].precision)
+    limit = _POLAR_MARGIN * math.sqrt(eig[-1] / eig[0])
+    bands = math.ceil(0.5 * _POLAR_NODES_PER_CONDITION * limit)
+    if field.dimension == 2:
+        resolution, nodes = 2 * bands, 2 * bands
+    else:
+        resolution, nodes = bands, 2 * bands * bands
+    if nodes > math.prod(fitted_axes(field, quads.box_nodes)[1]):
+        return None
+    return (vec * np.sqrt(eig)) @ vec.T, limit, resolution
+
+
+def _polar_samples(field: AnalyticField, alphas: list[tuple[int, ...]],
+                   p: float, plan: tuple[np.ndarray, float, int]
+                   ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Order-1 samples of f = c exp(-(x - mu)^T A (x - mu) / 2) from its
+    polar form, exact at every T: with z = A^(1/2) (x - mu) = r theta,
+    grad f = -c A^(1/2) z exp(-|z|^2 / 2) and
+
+        int |T^t grad f|^p dx = |c|^p det(A)^(-1/2) R_p(N)
+                                int_S |T^t A^(1/2) theta|^p dsigma,
+        R_p(N) = int_0^inf r^(p+N-1) exp(-p r^2 / 2) dr
+               = (1/2) (2/p)^((p+N)/2) Gamma((p+N)/2).
+
+    The samples are the vectors A^(1/2) theta_j of the plan's sphere rule,
+    as gradient rows, with weights |c|^p det(A)^(-1/2) R_p(N) omega_j."""
+    root, _, resolution = plan
+    n = field.dimension
+    sphere = build_sphere_quadrature(n, resolution)
+    vectors = sphere.nodes @ root
+    _, log_det = np.linalg.slogdet(field.terms[0].precision)
+    radial = 0.5 * (2.0 / p) ** (0.5 * (p + n)) * math.gamma(0.5 * (p + n))
+    weights = (abs(_gaussian_amplitude(field)) ** p * math.exp(-0.5 * log_det)
+               * radial) * sphere.weights
+    mat = vectors.T[[alpha.index(1) for alpha in alphas]]
+    return alphas, mat, weights
 
 
 def _derivative_tensor(alphas: list[tuple[int, ...]], mat: np.ndarray,
@@ -911,7 +1069,10 @@ def _sample_objective(field, params: SmoothnessParams,
     With det T = 1 changes of variables keep those samples valid at every T:
 
     - s = 1: the integral of |T^t grad f(Tx)|^p equals that of
-      |T^t grad f|^p over the original box;
+      |T^t grad f|^p over the original box, and for a single Gaussian a
+      sphere integral of |T^t A^(1/2) theta|^p (_polar_samples), which the
+      objective trusts while cond(T^t A^(1/2)) stays within the rule's
+      limit (_polar_plan);
     - fractional s: |f o T|_{s,p}^p = int_S |T^{-1} eta|^{-(N+sp)}
       D(f, eta) dsigma(eta), so one directional profile of f suffices;
     - integer s >= 2: the s-th derivative of f o T along xi is that of f
@@ -933,14 +1094,21 @@ def _sample_objective(field, params: SmoothnessParams,
         ctx.trusted = resolved
         return ctx
     order = _integer_order(params)
-    samples = (_derivative_samples(field, order, quads) if profile is None
+    samples = (_derivative_samples(field, order, quads, params.p)
+               if profile is None
                else _profile_for(field, params, quads, profile).samples)
     if samples is None:
         raise ValueError("profile keeps no derivative samples")
     alphas, mat, weights = samples
     if order == 1:
-        return _norm_power_objective(_derivative_tensor(alphas, mat, n),
-                                     weights, params.p, params.p)
+        ctx = _norm_power_objective(_derivative_tensor(alphas, mat, n),
+                                    weights, params.p, params.p)
+        plan = _polar_plan(field, quads)
+        if plan is not None:
+            root, limit, _ = plan
+            ctx.trusted = (lambda matrix:
+                           np.linalg.cond(matrix.T @ root) <= limit)
+        return ctx
     if order == 2:
         return _hessian_objective(alphas, mat, weights, params.p)
     # the scan has about four times the sphere's nodes; a 3-D rule with

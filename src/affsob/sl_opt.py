@@ -12,7 +12,8 @@ samples of f taken once at T = I serve every T (see
 seminorms._sample_objective):
 
 - s = 1: the integral of |T^t grad f(Tx)|^p equals that of |T^t grad f|^p
-  over the original box;
+  over the original box, and for a single Gaussian a sphere integral of
+  |T^t A^(1/2) theta|^p;
 - fractional s: |f o T|_{s,p}^p = int_S |T^{-1} eta|^{-(N+sp)} D(f, eta)
   dsigma(eta), so one directional profile of f suffices;
 - integer s >= 2: the s-th derivative of f o T along xi is that of f along
@@ -26,7 +27,9 @@ continuous in T, which the Armijo search needs near convergence.  The same
 objective gives objective(), the value minimize reports and the
 certificates; numeric_gradient checks its gradients.  At fractional s the
 sphere rule resolves |T^{-1} eta|^{-(N+sp)} only for moderately conditioned
-T: the descent rejects trials beyond that, and the public functions raise.
+T, and at s = 1 a single Gaussian's sphere rule only T with
+cond(T^t A^(1/2)) up to four times cond(A^(1/2)): the descent rejects
+trials beyond that, and the public functions raise.
 """
 
 from __future__ import annotations
@@ -168,10 +171,14 @@ def polar_align(T) -> np.ndarray:
     return (u * s) @ u.T
 
 
-def _resolved_value(ctx, matrix: np.ndarray) -> float:
+def _check_resolved(ctx, matrix: np.ndarray) -> None:
     if not ctx.trusted(matrix):
         raise NumericalFailureError("the sphere quadrature does not resolve "
                                     "f o T at this transform")
+
+
+def _resolved_value(ctx, matrix: np.ndarray) -> float:
+    _check_resolved(ctx, matrix)
     return ctx.value(matrix)
 
 
@@ -288,9 +295,12 @@ def minimize(field, params: SmoothnessParams, opts: OptimizerOptions,
 def critical_residuals(field, T, p: float, quads: QuadratureBundle):
     """First order criticality defects at T, both normalized by the energy:
     r_general maxes |<S, M>| over a trace-free basis, r_diag compares the
-    first diagonal moment against the equidistributed share tr(S)/N."""
+    first diagonal moment against the equidistributed share tr(S)/N.
+    Raises NumericalFailureError where the samples do not resolve f o T."""
     ctx = _sample_objective(field, SmoothnessParams(1.0, p), quads)
-    s = ctx.moment(_as_matrix(T))
+    m = _as_matrix(T)
+    _check_resolved(ctx, m)
+    s = ctx.moment(m)
     total = np.trace(s)
     if total <= 0:
         raise ValueError("field has no smoothness energy at this transform")

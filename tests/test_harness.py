@@ -239,6 +239,41 @@ def test_cli_energy_and_optimize(tmp_path, capsys):
     assert "minimized value" in printed
 
 
+_CI_PRECISION = [[1.2, -0.2, 0.1], [-0.2, 1.0, 0.1], [0.1, 0.1, 0.9]]
+
+
+@pytest.mark.parametrize("raw", [
+    {"dimension": 2, "s": 0.5, "p": 3.0, "field": "hermite",
+     "quadrature": {"box_nodes": 36, "sphere_nodes": 32, "t_panels": 16}},
+    {"dimension": 2, "s": 2.0, "p": 1.5, "field": "twobump",
+     "quadrature": {"box_nodes": 32, "sphere_nodes": 32}},
+    {"dimension": 3, "s": 1.0, "p": 3.0, "field": {"terms": [
+        {"coefficient": -0.7, "mean": [0.2, 0.0, -0.1],
+         "precision": _CI_PRECISION, "polynomial": {"0,0,0": 1.0}}]}},
+], ids=["2d-fractional", "2d-integer", "3d"])
+def test_energy_writer_matches_json_dumps(raw, tmp_path):
+    from affsob.cli import _energy_payload, _json_text
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    payload = _energy_payload(parse_config(config))
+    want = json.dumps(payload, indent=2, sort_keys=True)
+    assert ("starred_seminorm" in payload) == (raw["s"] % 1 == 0)
+    assert _json_text(payload) == want
+    out = tmp_path / "energy.json"
+    assert cli_main(["energy", "--config", str(config), "--out",
+                     str(out)]) == 0
+    assert out.read_bytes() == want.encode("utf-8")
+
+
+def test_json_writer_falls_back_on_other_values():
+    from affsob.cli import _json_text
+    for value in [{"a": [1.0, float("inf")], "b": [], "c": {}},
+                  {"z": [float("nan"), 2], "y": [True, None, "x\u00e9"]},
+                  {"big": [1e308, 1e308], "rows": [[0.1, -2.5e-17], [3.0]]}]:
+        assert _json_text(value) == json.dumps(value, indent=2,
+                                               sort_keys=True)
+
+
 def test_cli_missing_config_is_a_config_error(capsys):
     rc = cli_main(["energy", "--config", "/nonexistent/run.json"])
     assert rc == 2

@@ -93,7 +93,7 @@ def test_p2_gram_energies_match_the_literal_sum(dimension, order):
     rng = np.random.default_rng(100 * dimension + order)
     field = _random_field(rng, dimension, 2, 2)
     quads = _LEAN[dimension]
-    samples = _derivative_samples(field, order, quads)
+    samples = _derivative_samples(field, order, quads, 2.0)
     directions = quads.sphere.nodes
     got = _integer_energies(samples, 2.0, directions)
     want = _literal_energies(samples, 2.0, directions)
@@ -102,7 +102,7 @@ def test_p2_gram_energies_match_the_literal_sum(dimension, order):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_p2_gram_energies_on_a_grid_field(order):
-    samples = _derivative_samples(weak_grid_field(16), order, _LEAN[3])
+    samples = _derivative_samples(weak_grid_field(16), order, _LEAN[3], 2.0)
     directions = build_sphere_quadrature(3, 8).nodes
     np.testing.assert_allclose(_integer_energies(samples, 2.0, directions),
                                _literal_energies(samples, 2.0, directions),
@@ -114,7 +114,7 @@ def test_p2_energy_of_a_dead_direction_is_exactly_zero(order, bundle2):
     # every partial that differentiates along axis 0 an all-zero row, as
     # for a function constant along it: the energy along e_0 is exactly 0.0
     alphas, mat, weights = _derivative_samples(AnalyticField.gaussian(2),
-                                               order, bundle2)
+                                               order, bundle2, 2.0)
     mat[[alpha[0] > 0 for alpha in alphas]] = 0.0
     directions = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
     got = _integer_energies((alphas, mat, weights), 2.0, directions)
@@ -136,7 +136,7 @@ def test_blocked_energies_match_the_literal_sum(dimension, order, p):
     rng = np.random.default_rng(1000 * dimension + 10 * order + int(2 * p))
     field = _random_field(rng, dimension, 2, 2)
     quads = _LEAN[dimension]
-    samples = _derivative_samples(field, order, quads)
+    samples = _derivative_samples(field, order, quads, p)
     directions = quads.sphere.nodes
     np.testing.assert_allclose(_integer_energies(samples, p, directions),
                                _literal_energies(samples, p, directions),
@@ -147,7 +147,7 @@ def test_blocked_energies_match_the_literal_sum(dimension, order, p):
 @pytest.mark.parametrize("order", [1, 2])
 def test_blocked_energies_on_a_grid_field(order, p):
     # 24^3 points against 128 directions: 27 blocks of 512 points
-    samples = _derivative_samples(weak_grid_field(24), order, _LEAN[3])
+    samples = _derivative_samples(weak_grid_field(24), order, _LEAN[3], p)
     directions = build_sphere_quadrature(3, 8).nodes
     np.testing.assert_allclose(_integer_energies(samples, p, directions),
                                _literal_energies(samples, p, directions),

@@ -115,14 +115,19 @@ def test_profile_and_seminorm_ignore_block_edges(monkeypatch, s, dimension,
 
 
 def test_derivative_branch_memory_stays_near_the_samples():
-    """A 3-D s = 1, p = 2 profile at box_nodes 48 (49^3 nodes for this
-    field) and its semi-norm: the traced peak stays under 5 times the bytes of the
-    sample matrix the profile holds.  Whole-box temporaries reached about
-    7 times; the blocked walk leaves the box build and the p = 2 QR's two
-    copies of the samples as the peak, about 3.5 times."""
+    """A 3-D s = 1, p = 2 profile at box_nodes 48 (51 x 49 x 51 nodes for
+    this field) and its semi-norm: the traced peak stays under 5 times the
+    bytes of the sample matrix the profile holds.  Whole-box temporaries
+    reached about 7 times; the blocked walk leaves the box build and the
+    p = 2 QR's two copies of the samples as the peak, about 3.5 times.
+    The field is a two-term mixture: a single Gaussian takes no box, and a
+    degree-2 term adds its whole-box d^beta q (8.3 times)."""
     precision = np.array([[1.2, -0.2, 0.1], [-0.2, 1.0, 0.1],
                           [0.1, 0.1, 0.9]])
-    field = AnalyticField.gaussian(3, precision=precision)
+    field = (AnalyticField.gaussian(3, precision=precision)
+             + AnalyticField.gaussian(3, precision=precision,
+                                      mean=[0.6, 0.0, -0.3],
+                                      coefficient=0.5))
     params = SmoothnessParams(1.0, 2.0)
     quads = QuadratureBundle.default(3, box_nodes=48)
     tracemalloc.start()

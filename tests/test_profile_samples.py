@@ -1,6 +1,8 @@
 """One sample set per profile: at integer s a directional profile keeps the
 order-s partials it was computed from, and everything taking `profile=`
-uses them instead of sampling f again."""
+uses them instead of sampling f again.  A single Gaussian's energies are
+closed forms and its s = 1 samples polar, so the sampling counts are taken
+on twobump."""
 
 import json
 import warnings
@@ -15,7 +17,7 @@ from affsob import (AnalyticField, PsiSpec, QuadratureBundle,
                     random_frames, random_unimodular, seminorm,
                     starred_seminorm)
 from affsob.cli import cli_main
-from affsob.family import ridge_member, weak_grid_field
+from affsob.family import weak_grid_field
 from affsob.seminorms import _sample_objective
 from affsob.suites import _energy_profile, _noimpro_ratio
 
@@ -40,7 +42,7 @@ def test_energy_cli_samples_the_partials_once(s, p, tmp_path, capsys,
                                               samplings):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
-        "dimension": 2, "s": s, "p": p, "field": "aniso",
+        "dimension": 2, "s": s, "p": p, "field": "twobump",
         "quadrature": {"box_nodes": 32, "sphere_nodes": 32},
     }), encoding="utf-8")
     assert cli_main(["energy", "--config", str(config)]) == 0
@@ -48,23 +50,24 @@ def test_energy_cli_samples_the_partials_once(s, p, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0])
-def test_directional_bound_samples_the_partials_once(s, aniso, lean2,
+def test_directional_bound_samples_the_partials_once(s, family, lean2,
                                                      samplings):
-    directional_lower_bound_check(aniso, np.eye(2), SmoothnessParams(s, 2.0),
-                                  lean2)
+    directional_lower_bound_check(family["twobump"], np.eye(2),
+                                  SmoothnessParams(s, 2.0), lean2)
     assert samplings == [int(s)]
 
 
-def test_noimpro_ratio_samples_the_partials_once(lean2, samplings):
-    _noimpro_ratio(ridge_member(0.5), 2.0, SmoothnessParams(1.0, 1.0), lean2)
+def test_noimpro_ratio_samples_the_partials_once(family, lean2, samplings):
+    _noimpro_ratio(family["twobump"], 2.0, SmoothnessParams(1.0, 1.0), lean2)
     assert samplings == [1]
 
 
-def test_slicing_estimate_samples_once_per_member_and_frame(aniso, lean2,
+def test_slicing_estimate_samples_once_per_member_and_frame(family, lean2,
                                                             samplings):
     # the semi-norm samples once, then each frame once for all its rows
     frames = random_frames(2, 4)
-    estimate_slicing_constants([aniso, aniso], SmoothnessParams(1.0, 2.0),
+    twobump = family["twobump"]
+    estimate_slicing_constants([twobump, twobump], SmoothnessParams(1.0, 2.0),
                                lean2, frames=frames)
     assert samplings == [1] * 2 * (1 + len(frames))
 
@@ -85,13 +88,14 @@ def test_cached_profiles_keep_no_samples(aniso, lean2):
         affine_energy(aniso, params, lean2, profile=fresh)
 
 
-def test_a_derivative_profile_without_samples_is_rejected(aniso, lean2):
+def test_a_derivative_profile_without_samples_is_rejected(family, lean2):
+    twobump = family["twobump"]
     params = SmoothnessParams(1.0, 2.0)
-    bare = _energy_profile(aniso, params, lean2)
+    bare = _energy_profile(twobump, params, lean2)
     with pytest.raises(ValueError, match="no derivative samples"):
-        seminorm(aniso, params, lean2, profile=bare)
+        seminorm(twobump, params, lean2, profile=bare)
     with pytest.raises(ValueError, match="no derivative samples"):
-        _sample_objective(aniso, params, lean2, profile=bare)
+        _sample_objective(twobump, params, lean2, profile=bare)
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
