@@ -28,7 +28,8 @@ from collections import Counter
 
 import numpy as np
 
-from .fields import _SWEEP_BLOCK, AnalyticField, Polynomial
+from .fields import (_SWEEP_BLOCK, AnalyticField, NumericalFailureError,
+                     Polynomial)
 
 __all__ = ["exact_directional_energies", "finite_part_moments"]
 
@@ -445,17 +446,20 @@ def finite_part_moments(s: float, degree: int, y0: np.ndarray,
 
 def _energies(field: AnalyticField, products, dilations, xi: np.ndarray,
               s: float, sigma: float, dtype
-              ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The energies and their rounding bounds, computed in dtype; None when
-    a product integral overflows or its precision is not positive
-    definite."""
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The energies and their rounding bounds, computed in dtype;
+    NumericalFailureError when a product's precision is not positive
+    definite or its scale overflows."""
     try:
         rules = [(_ProductRule(field, terms, dtype), shifts, weights)
                  for terms, shifts, weights in products]
     except np.linalg.LinAlgError:
-        return None
+        raise NumericalFailureError(
+            "exact even-p energy: the precision of a product of terms is "
+            "not positive definite") from None
     if not all(np.isfinite(rule.scale) for rule, _, _ in rules):
-        return None
+        raise NumericalFailureError(
+            "exact even-p energy: the scale of a product of terms overflows")
     k, c = (np.array(column, dtype=dtype) for column in zip(*dilations))
     weights = c * k ** (2.0 * s)
     finite_part = np.zeros(xi.shape[0], dtype=dtype)
@@ -471,16 +475,17 @@ def _energies(field: AnalyticField, products, dilations, xi: np.ndarray,
     return values, bounds + 0.5 * _EPS * np.abs(values)
 
 
-def exact_directional_energies(field, directions: np.ndarray, s: float,
-                               p: float, order: int
-                               ) -> tuple[np.ndarray, np.ndarray] | None:
+def exact_directional_energies(field: AnalyticField, directions: np.ndarray,
+                               s: float, p: float, order: int
+                               ) -> tuple[np.ndarray, np.ndarray]:
     """D(f, xi) at even p along each row of directions, and a bound on the
-    rounding error of each value; None when p is not an even integer, the
-    field is not an AnalyticField, or its product integrals overflow.
-    Energies whose bound exceeds _RECOMPUTE_LEVEL of their value are
-    computed again in long double."""
+    rounding error of each value; ValueError when p is not an even integer
+    or the field is not an AnalyticField; NumericalFailureError when a
+    product of its terms overflows or has a precision that is not positive
+    definite.  Energies whose bound exceeds _RECOMPUTE_LEVEL of their value
+    are computed again in long double."""
     if not isinstance(field, AnalyticField) or p % 2.0:
-        return None
+        raise ValueError("exact energies need an analytic field and even p")
     n_terms = len(field.terms)
     if p == 2.0:
         # the dilations t -> k t merge, with weights 2 (-1)^k C(2m, m+k)
@@ -498,14 +503,10 @@ def exact_directional_energies(field, directions: np.ndarray, s: float,
     # within rounding of a pole the series would divide by the rounding
     if abs(sigma - round(sigma)) <= 8.0 * _EPS * sigma:
         sigma = float(round(sigma))
-    result = _energies(field, products, dilations, xi, s, sigma, float)
-    if result is None:
-        return None
-    values, bounds = result
+    values, bounds = _energies(field, products, dilations, xi, s, sigma,
+                               float)
     redo = bounds > _RECOMPUTE_LEVEL * np.abs(values)
     if redo.any() and np.finfo(np.longdouble).eps < _EPS:
-        wide = _energies(field, products, dilations, xi[redo], s, sigma,
-                         np.longdouble)
-        if wide is not None:
-            values[redo], bounds[redo] = wide
+        values[redo], bounds[redo] = _energies(
+            field, products, dilations, xi[redo], s, sigma, np.longdouble)
     return values, bounds

@@ -30,7 +30,7 @@ __all__ = [
 
 # nodes per unit of (half_width * sqrt(curvature)); calibrated so the
 # default cube (L=8, unit Gaussian) gets the spec defaults below
-_DENSITY = {2: 12.0, 3: 6.0}
+_DENSITY = {1: 24.0, 2: 12.0, 3: 6.0}
 _DEFAULT_NODES = {1: 192, 2: 96, 3: 48}
 # half width of the default cube; every box is fitted relative to it
 BOX_HALF_WIDTH = 8.0
@@ -84,10 +84,12 @@ class BoxQuadrature:
         # the meshgrid views are stacked straight into the P x N grid, so
         # the grid and the rotated nodes are the only P x N arrays; the
         # nodes are allocated first, which on repeated 3-D default boxes
-        # keeps the process's peak RSS 1 MB below the other order
+        # keeps the process's peak RSS 1 MB below the other order.  A box
+        # of no axes is the single empty node of weight 1.
         nodes = np.empty((weights.size, n))
-        pts = np.stack(np.meshgrid(*[g[0] for g in one_d], indexing="ij",
-                                   copy=False), axis=-1).reshape(-1, n)
+        pts = (np.stack(np.meshgrid(*[g[0] for g in one_d], indexing="ij",
+                                    copy=False), axis=-1).reshape(-1, n)
+               if n else np.zeros((1, 0)))
         self.half_widths = half_widths
         self.nodes_per_axis = tuple(int(m) for m in nodes_per_axis)
         self.frame = frame
@@ -228,6 +230,7 @@ def integrate_box(g: Callable[[np.ndarray], np.ndarray] | np.ndarray,
 class SphereQuadrature:
     """Quadrature nodes and weights on the unit sphere S^{N-1}.
 
+    N=1: the pair {+1, -1}, each of weight 1.
     N=2: equispaced angles with uniform weights (trapezoid, spectrally
     accurate for periodic integrands). N=3: Gauss-Legendre in cos(theta)
     times equispaced azimuth. `antipode` maps each node index to the index
@@ -249,9 +252,14 @@ class SphereQuadrature:
 
 
 def build_sphere_quadrature(dimension: int, resolution: int) -> SphereQuadrature:
-    """Sphere rule with ~resolution nodes (N=2) or resolution polar bands (N=3)."""
+    """Sphere rule on S^{N-1}: the two points +1 and -1 of unit weight
+    (N=1, whatever the resolution), ~resolution nodes (N=2) or resolution
+    polar bands (N=3)."""
     if resolution < 4:
         raise ValueError("sphere resolution must be at least 4")
+    if dimension == 1:
+        return SphereQuadrature(np.array([[1.0], [-1.0]]), np.ones(2),
+                                np.array([1, 0]))
     if dimension == 2:
         n = int(resolution)
         if n % 2:
@@ -283,7 +291,7 @@ def build_sphere_quadrature(dimension: int, resolution: int) -> SphereQuadrature
         step = np.arange(n_phi)[None, :]
         antipode = ((n_u - 1 - band) * n_phi + (step + n_phi // 2) % n_phi).ravel()
         return SphereQuadrature(nodes, weights, antipode)
-    raise ValueError("only dimensions 2 and 3 are supported")
+    raise ValueError("only dimensions 1, 2 and 3 are supported")
 
 
 @dataclass(frozen=True)

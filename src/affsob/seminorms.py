@@ -33,6 +33,7 @@ from .fields import (
     multi_indices,
 )
 from .quadrature import (
+    _DEFAULT_NODES,
     _SEPARATION_FACTOR,
     BOX_HALF_WIDTH,
     BoxQuadrature,
@@ -51,10 +52,8 @@ from .quadrature import (
 # accuracy: an estimate of how it resolves |T^{-1} eta|^{-(N+sp)}, not a bound
 _PUSHFORWARD_TOL = 1e-3
 
-# Gauss-Legendre nodes of slice_seminorm_crosscheck: across the slices, and
-# along each slice before it is lengthened for the differences
+# Gauss-Legendre nodes of slice_seminorm_crosscheck across the slices
 _SLICE_TRANSVERSE_NODES = 96
-_SLICE_NODES = 192
 
 # the s = 1 polar rule of a single Gaussian is sized for, and trusts, T
 # with cond(T^t A^(1/2)) up to this multiple of cond(A^(1/2)), and puts
@@ -243,19 +242,21 @@ def _profile_for(field, params: SmoothnessParams, quads: QuadratureBundle,
 def _radial_energies(field: AnalyticField, directions: np.ndarray, s: float,
                      p: float, order: int, quads: QuadratureBundle
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Radial energy along each direction, and its tail interval.
+    """Radial energy along each direction, and its tail interval, in any
+    dimension from 1 to 3; the path is chosen from p and the field's terms
+    alone.
 
-    At even p the energies of an AnalyticField are exact (finite parts of
-    Gaussian products, see autocorrelation.py, including integer sp/2) and
-    the interval bounds their rounding.  Otherwise a single Gaussian takes
-    its energies from one 1-D line integral (_gaussian_energies), a single
-    term with a polynomial factor from one whitened line table that every
-    direction shares (_single_term_energies), and a field with several
-    terms is swept box by box (_swept_energies).
+    At even p the energies are exact (finite parts of Gaussian products,
+    see autocorrelation.py, including integer sp/2) and the interval bounds
+    their rounding; a product that overflows raises NumericalFailureError.
+    Otherwise a single Gaussian takes its energies from one 1-D line
+    integral (_gaussian_energies), a single term with a polynomial factor
+    from one whitened line table that every direction shares
+    (_single_term_energies), and a field with several terms is swept box by
+    box (_swept_energies).
     """
-    exact = exact_directional_energies(field, directions, s, p, order)
-    if exact is not None:
-        return exact
+    if p % 2.0 == 0.0:
+        return exact_directional_energies(field, directions, s, p, order)
     if _single_gaussian(field):
         return _gaussian_energies(field, directions, s, p, order, quads)
     if len(field.terms) == 1:
@@ -286,24 +287,33 @@ def _single_gaussian(field) -> bool:
             and field.terms[0].polynomial.degree == 0)
 
 
-def _gaussian_amplitude(field: AnalyticField) -> float:
+def _gaussian_amplitude(field: AnalyticField) -> np.float64:
     """c of a single Gaussian c exp(-(x - mu)^T A (x - mu) / 2): the one
-    coefficient of its constant polynomial, 0 for the zero one."""
+    coefficient of its constant polynomial, 0 for the zero one.  A numpy
+    float, so that |c|^p overflows to inf rather than raising
+    OverflowError, and the factors it starts can be checked for that."""
     term = field.terms[0]
-    return term.coefficient * float(term.polynomial.coefficients.sum())
+    return np.float64(term.coefficient
+                      * float(term.polynomial.coefficients.sum()))
 
 
 def _gaussian_scale(field: AnalyticField, directions: np.ndarray, p: float,
                     exponent: float) -> np.ndarray:
     """|c|^p (2 pi / p)^((N-1)/2) det(A)^(-1/2) (xi^T A xi)^exponent along
     each direction: the factor of a single Gaussian's directional energies
-    that holds everything but a 1-D integral."""
+    that holds everything but a 1-D integral; NumericalFailureError where
+    it overflows."""
     term = field.terms[0]
     _, log_det = np.linalg.slogdet(term.precision)
     forms = np.einsum("ij,jk,ik->i", directions, term.precision, directions)
-    return (abs(_gaussian_amplitude(field)) ** p
-            * (2.0 * math.pi / p) ** (0.5 * (field.dimension - 1))
-            * math.exp(-0.5 * log_det)) * forms ** exponent
+    with np.errstate(over="ignore"):
+        scale = (abs(_gaussian_amplitude(field)) ** p
+                 * (2.0 * math.pi / p) ** (0.5 * (field.dimension - 1))
+                 * math.exp(-0.5 * log_det)) * forms ** exponent
+    if not np.all(np.isfinite(scale)):
+        raise NumericalFailureError(
+            "a single Gaussian's energy factor overflows")
+    return scale
 
 
 def _gaussian_derivative_energies(field: AnalyticField,
@@ -764,15 +774,20 @@ def _polar_samples(field: AnalyticField, alphas: list[tuple[int, ...]],
                = (1/2) (2/p)^((p+N)/2) Gamma((p+N)/2).
 
     The samples are the vectors A^(1/2) theta_j of the plan's sphere rule,
-    as gradient rows, with weights |c|^p det(A)^(-1/2) R_p(N) omega_j."""
+    as gradient rows, with weights |c|^p det(A)^(-1/2) R_p(N) omega_j;
+    NumericalFailureError where those overflow."""
     root, _, resolution = plan
     n = field.dimension
     sphere = build_sphere_quadrature(n, resolution)
     vectors = sphere.nodes @ root
     _, log_det = np.linalg.slogdet(field.terms[0].precision)
     radial = 0.5 * (2.0 / p) ** (0.5 * (p + n)) * math.gamma(0.5 * (p + n))
-    weights = (abs(_gaussian_amplitude(field)) ** p * math.exp(-0.5 * log_det)
-               * radial) * sphere.weights
+    with np.errstate(over="ignore"):
+        weights = (abs(_gaussian_amplitude(field)) ** p
+                   * math.exp(-0.5 * log_det) * radial) * sphere.weights
+    if not np.all(np.isfinite(weights)):
+        raise NumericalFailureError(
+            "a single Gaussian's polar weights overflow")
     mat = vectors.T[[alpha.index(1) for alpha in alphas]]
     return alphas, mat, weights
 
@@ -887,7 +902,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     8 columns this is bitwise np.linalg.norm(v, axis=1), overflow and NaN
     included; at 8 and more numpy sums pairwise and the last bits differ.
     Callers pass one column per dimension, and sphere rules exist for
-    N = 2 and 3 only."""
+    N = 1 to 3 only."""
     squares = v * v
     norms = squares[:, 0].copy()
     for column in squares.T[1:]:
@@ -1147,55 +1162,18 @@ def starred_seminorm(field, s: float, p: float, quads: QuadratureBundle, *,
     return _profile_for(field, params, quads, profile).integrate() ** (1.0 / p)
 
 
-def _one_d_seminorm_power(field: AnalyticField, params: SmoothnessParams,
-                          quads: QuadratureBundle, half_width: float) -> float:
-    """p-th power of the semi-norm of a 1-D field.
-
-    The unit sphere in one dimension is the pair {-1, +1}, so the
-    difference branch is twice the one-sided radial energy: exact at even
-    p, else swept along a lengthened line (_one_d_swept_power).
-    """
-    if params.fractional:
-        exact = exact_directional_energies(field, np.array([[1.0]]), params.s,
-                                           params.p, params.difference_order)
-        if exact is not None:
-            return 2.0 * float(exact[0][0])
-        return _one_d_swept_power(field, params, quads, half_width)
-    pts, wts = gauss_legendre_nodes(half_width, _SLICE_NODES)
-    values = field.partial_values(pts[:, None], _integer_order(params))[0]
-    return float(np.abs(values) ** params.p @ wts)
-
-
-def _one_d_swept_power(field: AnalyticField, params: SmoothnessParams,
-                       quads: QuadratureBundle, half_width: float) -> float:
-    """Twice the one-sided radial energy of a 1-D field at fractional s,
-    from the difference sweep along a line lengthened by the lobe
-    separation scale, closed by the separated-lobes far field."""
-    order = params.difference_order
-    t_sep = _SEPARATION_FACTOR * half_width
-    long_hw = half_width + 0.5 * order * t_sep
-    long_n = int(math.ceil(_SLICE_NODES * long_hw / half_width))
-    pts, wts = gauss_legendre_nodes(long_hw, long_n)
-    rq = quads.radial_range(t_sep)
-    fp = float(np.abs(field.evaluate(pts[:, None])) ** params.p @ wts)
-    far_constant = _separated_lobes_constant(order, params.p) * fp
-    samples = field.difference_lp_samples(
-        np.array([1.0]), rq.nodes, order, params.p, pts[:, None], wts)
-    value, _ = radial_from_samples(samples, params.s, params.p, order, rq,
-                                   far_constant=far_constant)
-    return 2.0 * value
-
-
 def slice_seminorm_crosscheck(field: AnalyticField, params: SmoothnessParams,
                               axis: int, quads: QuadratureBundle
                               ) -> tuple[float, float]:
-    """Two routes to the same axis energy.
+    """Two routes to the same axis energy (Remark 2.10).
 
-    lhs: twice the directional energy along e_axis (difference branch) or the
-    L^p integral of the s-th axis derivative (derivative branch).  rhs: the
-    transverse integral of 1-D semi-norm powers of the restrictions, computed
-    by a dedicated 1-D pipeline.  The two agree analytically; the residual
-    measures quadrature consistency.
+    lhs: the directional energy along e_axis on `quads`.  rhs: the
+    transverse integral of the energies of the 1-D restrictions along +1,
+    on a 1-D bundle of the same tier and radial rule, so both sides take
+    the engines of _direction_energies.  On the difference branch both are
+    doubled: S^0 = {+1, -1} makes a 1-D semi-norm power twice the one-sided
+    energy.  The two agree analytically; the residual measures quadrature
+    consistency.
     """
     dim = field.dimension
     if not 0 <= axis < dim:
@@ -1205,16 +1183,18 @@ def slice_seminorm_crosscheck(field: AnalyticField, params: SmoothnessParams,
     e = np.zeros(dim)
     e[axis] = 1.0
     lhs = directional_energy(field, params, e, quads)
-    if params.fractional:
-        lhs *= 2.0
 
+    line = QuadratureBundle(
+        1, 4, round(quads.box_nodes * _DEFAULT_NODES[1] / _DEFAULT_NODES[2]),
+        quads.radial_spec)
     other_pts, other_wts = gauss_legendre_nodes(BOX_HALF_WIDTH,
                                                 _SLICE_TRANSVERSE_NODES)
     rhs = 0.0
     for u, w in zip(other_pts, other_wts):
         piece = field.restrict(axis=axis, fixed=np.array([u]))
-        rhs += w * _one_d_seminorm_power(piece, params, quads, BOX_HALF_WIDTH)
-    return lhs, float(rhs)
+        rhs += w * directional_energy(piece, params, np.ones(1), line)
+    scale = 2.0 if params.fractional else 1.0
+    return scale * lhs, scale * float(rhs)
 
 
 def slicing_bounds(field, params: SmoothnessParams, basis: np.ndarray,

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affsob import (AnalyticField, RadialQuadrature, RadialSpec,
-                    autocorrelation)
+from affsob import (AnalyticField, NumericalFailureError, RadialQuadrature,
+                    RadialSpec, autocorrelation)
 from affsob.autocorrelation import (exact_directional_energies,
                                     finite_part_moments)
 from affsob.fields import GaussianTerm, Polynomial
@@ -202,3 +202,18 @@ def test_pole_moments_are_the_limit_of_their_neighbours(s):
     got, sizes = finite_part_moments(s, 6, y0, log_scale=log_h)
     want = (4.0 * average(1e-3) - average(2e-3)) / 3.0
     assert np.all(np.abs(got - want) <= 1e-8 * sizes)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_overflowing_products_are_a_numerical_failure(p):
+    # two 1e200 terms: every product's scale holds 1e200^p, beyond the
+    # double range, and no other path takes even p
+    huge = AnalyticField.gaussian(2, coefficient=1e200)
+    with pytest.raises(NumericalFailureError, match="product of terms"):
+        exact_directional_energies(huge + huge, np.eye(2), 0.5, p, 1)
+
+
+def test_only_analytic_fields_at_even_p_are_taken():
+    field = AnalyticField.gaussian(2)
+    with pytest.raises(ValueError, match="even p"):
+        exact_directional_energies(field, np.eye(2), 0.5, 3.0, 1)

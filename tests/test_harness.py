@@ -363,7 +363,36 @@ def test_cli_non_finite_field_is_a_numerical_failure(tmp_path, capsys):
     rc = cli_main(["optimize", "--config", str(config)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "numerical failure: non-finite integrand values on the box" in err
+    assert ("numerical failure: exact even-p energy: the scale of a product "
+            "of terms overflows") in err
+
+
+def _huge_terms(count: int) -> dict:
+    term = {"coefficient": 1e200, "polynomial": {"0,0": 1.0},
+            "mean": [0.0, 0.0], "precision": [[1.0, 0.0], [0.0, 1.0]]}
+    return {"terms": [term] * count}
+
+
+@pytest.mark.parametrize("command,s,p,terms,message", [
+    ("energy", 0.5, 3.0, 1, "a single Gaussian's energy factor overflows"),
+    ("energy", 1.0, 3.0, 1, "a single Gaussian's energy factor overflows"),
+    ("energy", 2.0, 3.0, 1, "a single Gaussian's energy factor overflows"),
+    ("optimize", 1.0, 3.0, 1, "a single Gaussian's polar weights overflow"),
+    ("energy", 0.5, 2.0, 2, "exact even-p energy: the scale of a product"),
+    ("energy", 0.5, 4.0, 2, "exact even-p energy: the scale of a product"),
+])
+def test_cli_overflowing_amplitude_is_a_numerical_failure(
+        tmp_path, capsys, command, s, p, terms, message):
+    # |c|^p = 1e600 leaves the double range: a single Gaussian's closed
+    # forms and polar weights, and the exact engine's products, say so
+    # instead of raising OverflowError
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "dimension": 2, "s": s, "p": p, "field": _huge_terms(terms),
+        "quadrature": {"box_nodes": 24, "sphere_nodes": 16, "t_panels": 12},
+    }), encoding="utf-8")
+    assert cli_main([command, "--config", str(config)]) == 3
+    assert f"numerical failure: {message}" in capsys.readouterr().err
 
 
 def test_cli_sweep_failure_is_a_numerical_failure(monkeypatch, tmp_path,

@@ -56,7 +56,8 @@ def searched_antipode_map(nodes):
 
 
 @pytest.mark.parametrize("dimension, resolutions",
-                         [(2, range(4, 129)), (3, range(4, 25))])
+                         [(2, range(4, 129)), (3, range(4, 25)),
+                          (1, range(4, 9))])
 def test_constructed_antipode_map_matches_search(dimension, resolutions):
     for resolution in resolutions:
         sph = build_sphere_quadrature(dimension, resolution)
@@ -78,9 +79,32 @@ def test_cached_gauss_legendre_rules_are_shared_and_read_only():
     np.testing.assert_array_equal(_leggauss(12)[1], w_np)
 
 
+@pytest.mark.parametrize("resolution", [4, 64])
+def test_zero_sphere_is_the_pair_of_unit_points(resolution):
+    # S^0 = {+1, -1} under counting measure, whatever the resolution, so a
+    # 1-D profile integrates to twice the energy along +1
+    pair = build_sphere_quadrature(1, resolution)
+    np.testing.assert_array_equal(pair.nodes, [[1.0], [-1.0]])
+    np.testing.assert_array_equal(pair.weights, [1.0, 1.0])
+    np.testing.assert_array_equal(pair.antipode, [1, 0])
+    assert pair.area == 2.0
+    line = QuadratureBundle.default(1)
+    assert line.box_nodes == 192
+    np.testing.assert_array_equal(line.sphere.nodes, pair.nodes)
+
+
+def test_box_of_no_axes_is_one_empty_node():
+    box = BoxQuadrature(np.zeros(0), ())
+    assert box.nodes.shape == (1, 0)
+    np.testing.assert_array_equal(box.weights, [1.0])
+    assert integrate_box(np.array([2.5]), box) == 2.5
+
+
 def test_sphere_validation():
     with pytest.raises(ValueError):
         build_sphere_quadrature(4, 16)
+    with pytest.raises(ValueError):
+        build_sphere_quadrature(0, 16)
     with pytest.raises(ValueError):
         build_sphere_quadrature(2, 3)
 

@@ -16,9 +16,7 @@ from affsob import (AnalyticField, GridField, QuadratureBundle, RadialSpec,
 from affsob.autocorrelation import exact_directional_energies
 from affsob.constants import random_frames
 from affsob.family import weak_grid_field
-from affsob.quadrature import BOX_HALF_WIDTH
-from affsob.seminorms import (_one_d_seminorm_power, _one_d_swept_power,
-                              _swept_energies)
+from affsob.seminorms import _radial_energies, _swept_energies
 
 E0 = np.array([1.0, 0.0])
 
@@ -153,15 +151,27 @@ def test_slice_crosscheck_agrees(family, bundle2, member, s, p):
 
 @pytest.mark.parametrize("member", ["radial", "aniso", "hermite"])
 @pytest.mark.parametrize("s,p", [(0.5, 2.0), (0.5, 4.0), (1.5, 2.0)])
-def test_exact_slice_energy_matches_the_slice_sweep(family, bundle2, member,
-                                                    s, p):
-    # the oracle is the 1-D sweep that odd p use
-    params = SmoothnessParams(s, p)
+def test_exact_slice_energy_matches_the_slice_sweep(family, member, s, p):
+    # the oracle is the box sweep, run on the 1-D bundle of the slices
+    line = QuadratureBundle.default(1)
+    order = SmoothnessParams(s, p).difference_order
     for u in (-1.3, 0.0, 0.7):
         piece = family[member].restrict(axis=0, fixed=np.array([u]))
-        got = _one_d_seminorm_power(piece, params, bundle2, BOX_HALF_WIDTH)
-        want = _one_d_swept_power(piece, params, bundle2, BOX_HALF_WIDTH)
+        got, _ = _radial_energies(piece, np.ones((1, 1)), s, p, order, line)
+        want, _ = _swept_energies(piece, np.ones((1, 1)), s, p, order, line)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("member", ["radial", "aniso"])
+@pytest.mark.parametrize("s,p", [(0.5, 3.0), (1.5, 1.0), (1.0, 3.0),
+                                 (2.0, 3.0)])
+def test_slice_crosscheck_of_single_gaussians_is_exact(family, bundle2,
+                                                       member, s, p):
+    # both sides take closed forms or the line integral E of one Gaussian,
+    # so they meet to rounding at odd and integer p as well
+    lhs, rhs = slice_seminorm_crosscheck(family[member],
+                                         SmoothnessParams(s, p), 0, bundle2)
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_slice_crosscheck_both_axes(aniso, bundle2):

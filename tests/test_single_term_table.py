@@ -159,3 +159,20 @@ def test_non_finite_differences_raise():
     with pytest.raises(NumericalFailureError,
                        match="non-finite difference values"):
         _single_term_energies(field, DIRECTIONS, 0.5, 3.0, 1, BASE)
+
+
+def test_one_dimensional_slice_takes_the_table():
+    # a slice of hermite is one term with a polynomial factor, A = 1 and
+    # mean 0; its cross rule is the box of no axes, a single node of
+    # weight 1, and its table meets the 1-D sweep to rounding
+    piece = standard_family()["hermite"].restrict(axis=0,
+                                                  fixed=np.array([0.7]))
+    assert len(piece.terms) == 1 and piece.terms[0].polynomial.degree
+    line = QuadratureBundle.default(1, box_nodes=72,
+                                    radial_spec=RadialSpec(panels=16))
+    got, tails = _single_term_energies(piece, np.ones((1, 1)), 0.5, 3.0, 1,
+                                       line)
+    want, want_tails = _swept_energies(piece, np.ones((1, 1)), 0.5, 3.0, 1,
+                                       line)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    np.testing.assert_allclose(tails, want_tails, rtol=1e-6)
