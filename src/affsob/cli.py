@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +26,14 @@ from .sl_opt import minimize
 from .suites import run_suite, suite_names
 
 _TRACE_HEADER = "iteration,objective,grad_norm,step_size,transform_hash"
+
+
+def _scale(text: str) -> float:
+    """A --scale value, finite and positive; argparse exits 2 otherwise."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
+    return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True,
                           choices=suite_names() + ["all"])
     p_verify.add_argument("--out", help="directory for per-suite CSV files")
-    p_verify.add_argument("--scale", type=float, default=1.0,
+    p_verify.add_argument("--scale", type=_scale, default=1.0,
                           help="multiplier on every quadrature resolution")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--timing", action="store_true",
@@ -71,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="run every suite and emit all "
                                              "CSV tables and plot series")
     p_report.add_argument("--out", required=True)
-    p_report.add_argument("--scale", type=float, default=1.0)
+    p_report.add_argument("--scale", type=_scale, default=1.0)
     p_report.add_argument("--seed", type=int, default=0)
     p_report.add_argument("--timing", action="store_true")
     return parser
@@ -202,20 +211,24 @@ def _require(args, names) -> list:
 
 
 def _cmd_constants(args) -> int:
-    if args.formula == "c1-first":
-        value, argmax = c1_first_approach(args.N)
-        print(f"{value!r} {argmax!r}")
-    elif args.formula == "c1-tilde":
-        (p,) = _require(args, ["p"])
-        print(repr(c1_second_approach(p, args.N)))
-    elif args.formula == "c1-general":
-        s, k1, k2 = _require(args, ["s", "K1", "K2"])
-        value, argmax, _ = c1_general(s, args.N, k1, k2)
-        print(f"{value!r} {argmax!r}")
-    else:
-        (gamma,) = _require(args, ["gamma"])
-        value, argmax = c_gamma(gamma, args.N)
-        print(f"{value!r} {argmax!r}")
+    try:
+        if args.formula == "c1-first":
+            value, argmax = c1_first_approach(args.N)
+            print(f"{value!r} {argmax!r}")
+        elif args.formula == "c1-tilde":
+            (p,) = _require(args, ["p"])
+            print(repr(c1_second_approach(p, args.N)))
+        elif args.formula == "c1-general":
+            s, k1, k2 = _require(args, ["s", "K1", "K2"])
+            value, argmax, _ = c1_general(s, args.N, k1, k2)
+            print(f"{value!r} {argmax!r}")
+        else:
+            (gamma,) = _require(args, ["gamma"])
+            value, argmax = c_gamma(gamma, args.N)
+            print(f"{value!r} {argmax!r}")
+    except ValueError as exc:
+        # an argument outside a formula's range is a configuration error
+        raise ConfigError(str(exc)) from exc
     return 0
 
 

@@ -152,17 +152,6 @@ class Polynomial:
             self.dimension, exponents,
             np.outer(self.coefficients, other.coefficients).ravel())
 
-    def directional_derivative(self, xi: np.ndarray) -> "Polynomial":
-        """sum_j xi_j d_j q, its rows taken axis by axis."""
-        xi = np.asarray(xi, dtype=float)
-        powers = self.exponents.T
-        shifted = self.exponents[None, :, :] - \
-            np.eye(self.dimension, dtype=np.int64)[:, None, :]
-        keep = (powers > 0) & (xi != 0.0)[:, None]
-        values = (self.coefficients * powers) * xi[:, None]
-        return Polynomial._from_arrays(self.dimension, shifted[keep],
-                                       values[keep])
-
     def compose_linear(self, matrix: np.ndarray) -> "Polynomial":
         """Return q(Mx) by expanding each coordinate substitution."""
         matrix = np.asarray(matrix, dtype=float)
@@ -211,14 +200,11 @@ def _point_blocks(count: int, per_point: int) -> list[slice]:
 
 
 def _line_buffers(terms: list[tuple], shape: tuple[int, int]
-                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Work arrays (expo, vals, poly) for _sum_lines, None where unneeded:
-    a lone term without a polynomial factor needs no vals, and poly serves
-    only a term after the first that has one."""
-    factors = [rows.shape[0] > 1 for *_, rows in terms]
-    vals = np.empty(shape) if len(terms) > 1 or any(factors) else None
-    poly = np.empty(shape) if any(factors[1:]) else None
-    return np.empty(shape), vals, poly
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Work arrays (expo, vals, poly) for _sum_lines; poly, None where
+    unneeded, serves only a term after the first with a polynomial factor."""
+    poly = any(rows.shape[0] > 1 for *_, rows in terms[1:])
+    return np.empty(shape), np.empty(shape), np.empty(shape) if poly else None
 
 
 def _sum_lines(terms: list[tuple], taus: np.ndarray,
@@ -227,24 +213,24 @@ def _sum_lines(terms: list[tuple], taus: np.ndarray,
 
     `terms` comes from AnalyticField._line_terms and `buffers` from
     _line_buffers, with at least len(taus) rows; the result is the leading
-    rows of one of them, overwritten by the next call.  Every value is
-    computed elementwise, so it does not depend on how the steps are split
-    into pieces.
+    rows of vals, overwritten by the next call.  Every value is computed
+    elementwise, so it does not depend on how the steps are split into
+    pieces.
     """
     expo, vals, poly = (buf if buf is None else buf[:taus.shape[0]]
                         for buf in buffers)
     if not terms:
-        expo.fill(0.0)
-        return expo
+        vals.fill(0.0)
+        return vals
     for i, (neg_half_a, b, half_c, rows) in enumerate(terms):
         np.multiply(taus[:, None], b, out=expo)
         np.subtract(neg_half_a, expo, out=expo)
         expo -= (half_c * taus ** 2)[:, None]
         np.exp(expo, out=expo)
         if rows.shape[0] == 1:
-            # a term without a polynomial factor scales its exp in place,
-            # unless it is the first of several and starts the sum in vals
-            target = vals if i == 0 and len(terms) > 1 else expo
+            # a term without a polynomial factor starts the sum in vals, or
+            # scales its exp in place to be added to it
+            target = vals if i == 0 else expo
             np.multiply(expo, rows[0], out=target)
         else:
             # Horner's rule in tau for the polynomial factor
@@ -257,7 +243,15 @@ def _sum_lines(terms: list[tuple], taus: np.ndarray,
             target *= expo
         if i > 0:
             vals += target
-    return vals if len(terms) > 1 else target
+    return vals
+
+
+def difference_stencil(order: int) -> list[tuple[float, float]]:
+    """(offset, coefficient) pairs of Delta^order_t f(x) = sum_l coefficient_l
+    f(x + offset_l t xi), centered: offset l - order/2 and coefficient
+    C(order, l) (-1)^(order - l) for l = 0 .. order."""
+    return [(l - order / 2.0, math.comb(order, l) * (-1.0) ** (order - l))
+            for l in range(order + 1)]
 
 
 def _abs_power(x: np.ndarray, p: float, work: np.ndarray) -> None:
@@ -508,18 +502,6 @@ class GaussianTerm:
                              f"eigenvalues {eigs}")
 
 
-def _envelope_derivative(poly: Polynomial, term: GaussianTerm,
-                         xi: np.ndarray) -> Polynomial:
-    """Polynomial factor of d_xi [poly * exp(-Q/2)] over the term's
-    Gaussian exp(-Q/2): d_xi poly - (xi^T A (x - mu)) poly."""
-    n = poly.dimension
-    w = term.precision @ xi
-    linear = Polynomial._from_arrays(
-        n, np.vstack([np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)]),
-        np.concatenate([[-float(w @ term.mean)], w]))
-    return poly.directional_derivative(xi) + (poly * linear).scaled(-1.0)
-
-
 def _polynomial_partials(poly: Polynomial, x: np.ndarray, order: int
                          ) -> dict[tuple[int, ...], np.ndarray]:
     """d^beta q at the points x, shape (N, P), for every |beta| <= order
@@ -554,6 +536,27 @@ def _polynomial_partials(poly: Polynomial, x: np.ndarray, order: int
     matrix[np.repeat(np.arange(len(betas)), [c.shape[0] for c in coefficients]),
            where] = np.concatenate(coefficients)
     return dict(zip(betas, matrix @ values))
+
+
+def _taylor_rows(term: GaussianTerm, x: np.ndarray, directions: np.ndarray,
+                 units: np.ndarray) -> np.ndarray:
+    """Taylor rows c units^(-j) (d_xi^j q) / j! of the term's polynomial
+    factor along each direction xi, for j = 0 .. degree: shape
+    (directions, degree + 1, n).  The points x have shape (N, directions *
+    n), and direction d takes the n columns from d * n on; units holds one
+    length per direction.  Every partial of q comes from one
+    _polynomial_partials call over all the points, and
+    d_xi^j q / j! = sum_{|beta| = j} xi^beta / beta! d^beta q."""
+    poly = term.polynomial
+    count = x.shape[1] // directions.shape[0]
+    out = np.zeros((directions.shape[0], poly.degree + 1, count))
+    for beta, values in _polynomial_partials(poly, x, poly.degree).items():
+        j = sum(beta)
+        weight = (term.coefficient * np.prod(directions ** np.array(beta),
+                                             axis=1)
+                  / (math.prod(map(math.factorial, beta)) * units ** j))
+        out[:, j] += weight[:, None] * values.reshape(-1, count)
+    return out
 
 
 def _hermite_factors(u: np.ndarray, precision: np.ndarray, order: int,
@@ -661,7 +664,7 @@ class AnalyticField:
         The Gaussian exponent along a line is -a/2 - tau b - tau^2 c/2 and
         the polynomial factor is the Taylor expansion
         q(x + tau xi) = sum_k tau^k (d_xi^k q)(x) / k!, whose rows are
-        evaluated on the points once.  Each entry is
+        evaluated on the points once (_taylor_rows).  Each entry is
         (-a/2, b, c/2, coefficient times the Taylor rows, shape (D+1, P)).
         """
         terms = []
@@ -671,16 +674,8 @@ class AnalyticField:
             w = t.precision @ xi
             b = d @ w
             c = float(xi @ w)
-            rows = []
-            q = t.polynomial
-            for k in range(t.polynomial.degree + 1):
-                if k:
-                    q = q.directional_derivative(xi)
-                    if q.is_zero:
-                        break
-                rows.append(q.evaluate(pts) / math.factorial(k))
             terms.append((-0.5 * a, b, 0.5 * c,
-                          t.coefficient * np.vstack(rows)))
+                          _taylor_rows(t, pts.T, xi[None, :], np.ones(1))[0]))
         return terms
 
     def line_values(self, points: np.ndarray, xi: np.ndarray,
@@ -734,8 +729,7 @@ class AnalyticField:
         K, P = ts.shape[0], pts.shape[0]
         if not terms or K == 0 or P == 0:
             return np.zeros(K)
-        shifts = [(l - order / 2.0, math.comb(order, l) * (-1.0) ** (order - l))
-                  for l in range(order + 1)]
+        shifts = difference_stencil(order)
         middle_line = None
         if order >= 2 and order % 2 == 0:
             middle_line = shifts[order // 2][1] * _sum_lines(
@@ -807,22 +801,6 @@ class AnalyticField:
                     out[:, block], pts[block], t, alphas,
                     {beta: dq[block] for beta, dq in polynomial.items()})
         return out
-
-    def directional_derivative(self, xi: np.ndarray, order: int = 1) -> "AnalyticField":
-        """Exact d^order/dt^order f(x + t xi) at t = 0, as a new field."""
-        if order < 1:
-            raise ValueError("derivative order must be >= 1")
-        xi = np.asarray(xi, dtype=float)
-        norm = np.linalg.norm(xi)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"direction must be a unit vector, |xi| = {norm!r}")
-        terms = []
-        for t in self.terms:
-            poly = t.polynomial
-            for _ in range(order):
-                poly = _envelope_derivative(poly, t, xi)
-            terms.append(GaussianTerm(t.coefficient, poly, t.mean, t.precision))
-        return AnalyticField(self.dimension, terms)
 
     def affine_compose(self, matrix: np.ndarray) -> "AnalyticField":
         """Exact f(Mx): new precision M^T A M, mean M^{-1} mu, polynomial q(Mx)."""

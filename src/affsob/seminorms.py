@@ -28,7 +28,8 @@ from .fields import (
     SmoothnessParams,
     _abs_power,
     _point_blocks,
-    _polynomial_partials,
+    _taylor_rows,
+    difference_stencil,
     directional_weight_matrix,
     multi_indices,
 )
@@ -38,6 +39,8 @@ from .quadrature import (
     BOX_HALF_WIDTH,
     BoxQuadrature,
     QuadratureBundle,
+    RadialQuadrature,
+    RadialSpec,
     SphereQuadrature,
     _frame_through,
     build_sphere_quadrature,
@@ -201,8 +204,10 @@ def _direction_blocks(W: np.ndarray, mat: np.ndarray):
 
 
 def _separated_lobes_constant(order: int, p: float) -> float:
-    """L^p mass ratio of a difference whose lobes no longer overlap."""
-    return float(sum(math.comb(order, l) ** p for l in range(order + 1)))
+    """L^p mass ratio of a difference whose lobes no longer overlap: the sum
+    of |coefficient|^p over the difference stencil."""
+    return float(sum(abs(coeff) ** p
+                     for _, coeff in difference_stencil(order)))
 
 
 def directional_profile(field, params: SmoothnessParams,
@@ -374,9 +379,20 @@ def _gaussian_line_energy(s: float, p: float, order: int,
     phi(u) = exp(-u^2 / 2), and its tail interval: the bundle's radial rule
     up to the unit Gaussian's lobe-separation scale, with the head model
     and the separated-lobes far field of radial_from_samples, whose L^p
-    mass is that constant times int phi^p = sqrt(2 pi / p)."""
-    rq = quads.radial_range(_SEPARATION_FACTOR * BOX_HALF_WIDTH)
-    samples = _gaussian_difference_lp(rq.nodes, order, p, quads.box_nodes)
+    mass is that constant times int phi^p = sqrt(2 pi / p).  It depends on
+    the bundle through its box node count and radial spec alone, and is
+    computed once per such tier (_cached_line_energy)."""
+    return _cached_line_energy(s, p, order, quads.box_nodes,
+                               quads.radial_spec)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_line_energy(s: float, p: float, order: int, box_nodes: int,
+                        radial_spec: RadialSpec) -> tuple[float, float]:
+    """_gaussian_line_energy on a tier's line nodes and radial spec."""
+    rq = RadialQuadrature.for_range(radial_spec,
+                                    _SEPARATION_FACTOR * BOX_HALF_WIDTH)
+    samples = _gaussian_difference_lp(rq.nodes, order, p, box_nodes)
     far_constant = (_separated_lobes_constant(order, p)
                     * math.sqrt(2.0 * math.pi / p))
     return radial_from_samples(samples, s, p, order, rq,
@@ -416,8 +432,7 @@ def _gaussian_difference_lp(ts: np.ndarray, order: int, p: float,
     s = 1.5, p = 2.  a_l stays below u^2 / 2, far from overflow there.
     """
     ts = np.asarray(ts, dtype=float)
-    shifts = [(l - order / 2.0, math.comb(order, l) * (-1.0) ** (order - l))
-              for l in range(order + 1)]
+    shifts = difference_stencil(order)
     split = int(np.searchsorted(ts, _SMALL_STEP, side="right"))
 
     def delta(u: np.ndarray) -> np.ndarray:
@@ -548,10 +563,9 @@ def _line_table(u: np.ndarray, u_scale: np.ndarray, hs: np.ndarray,
     """u_scale[i] Gamma_j(u[i], hs[k]) for j = 0 .. degree, one row per
     (k, i), k-major: shape (K * U, degree + 1)."""
     table = np.zeros((hs.shape[0], u.shape[0], degree + 1))
-    for l in range(order + 1):
-        v = u + (l - order / 2.0) * hs[:, None]
-        power = (math.comb(order, l) * (-1.0) ** (order - l)) * np.exp(
-            -0.5 * v * v)
+    for offset, coeff in difference_stencil(order):
+        v = u + offset * hs[:, None]
+        power = coeff * np.exp(-0.5 * v * v)
         for j in range(degree + 1):
             table[:, :, j] += power
             power *= v
@@ -564,24 +578,12 @@ def _taylor_columns(term, directions: np.ndarray, nus: np.ndarray,
                     y: np.ndarray) -> np.ndarray:
     """a_j(y) = c nu^(-j) (d_xi^j q)(mu + A^(-1/2) Y) / j! at the cross
     nodes y of each direction, where Y = (0, y) in the Householder frame
-    through A^(1/2) xi / nu: shape (directions, degree + 1, nodes).  Every
-    partial of q comes from one _polynomial_partials call over the
-    directions' nodes, and d_xi^j q / j! = sum_{|beta| = j} xi^beta / beta!
-    d^beta q."""
-    poly = term.polynomial
-    count = y.shape[0]
+    through A^(1/2) xi / nu: shape (directions, degree + 1, nodes), from
+    the Taylor rows (_taylor_rows) in units of nu."""
     points = np.concatenate([
         term.mean + y @ (inverse_root @ _frame_through(eta)[:, 1:]).T
         for eta in (directions @ root) / nus[:, None]])
-    out = np.zeros((directions.shape[0], poly.degree + 1, count))
-    for beta, values in _polynomial_partials(poly, points.T,
-                                             poly.degree).items():
-        j = sum(beta)
-        weight = (term.coefficient * np.prod(directions ** np.array(beta),
-                                             axis=1)
-                  / (math.prod(map(math.factorial, beta)) * nus ** j))
-        out[:, j] += weight[:, None] * values.reshape(-1, count)
-    return out
+    return _taylor_rows(term, points.T, directions, nus)
 
 
 def _table_energy(table: np.ndarray, magnitudes: np.ndarray,

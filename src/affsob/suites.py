@@ -716,6 +716,8 @@ def run_suite(name: str, scale: float = 1.0, seed: int = 0) -> VerificationRepor
     """The named suite's report, with the plot series it feeds."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     return _SUITES[name](scale, seed)
 
 

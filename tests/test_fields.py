@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from affsob import (AnalyticField, DimensionMismatchError, GridField,
                     SingularTransformError, SmoothnessParams)
-from affsob.fields import (Polynomial, multi_indices,
-                           multinomial_coefficient)
+from affsob.fields import (Polynomial, _taylor_rows, difference_stencil,
+                           multi_indices, multinomial_coefficient)
+from affsob.seminorms import _separated_lobes_constant
+from oracles import directional_derivative, polynomial_directional_derivative
 from test_sweep import _random_field
 
 
@@ -42,11 +44,11 @@ def test_polynomial_algebra():
 
 def test_polynomial_derivatives():
     p = Polynomial(2, {(2, 1): 1.0})          # x^2 y
-    dx = p.directional_derivative(np.array([1.0, 0.0]))
+    dx = polynomial_directional_derivative(p, np.array([1.0, 0.0]))
     x = np.array([[1.2, 0.7]])
     np.testing.assert_allclose(dx.evaluate(x), 2 * 1.2 * 0.7)
     xi = np.array([0.6, 0.8])
-    dxi = p.directional_derivative(xi)
+    dxi = polynomial_directional_derivative(p, xi)
     want = 0.6 * 2 * 1.2 * 0.7 + 0.8 * 1.2 ** 2
     np.testing.assert_allclose(dxi.evaluate(x), want)
 
@@ -144,7 +146,7 @@ def test_directional_derivative_matches_finite_difference():
     x = np.array([0.3, -0.4])
     h = 1e-6
     want = (f(x + h * xi) - f(x - h * xi)) / (2 * h)
-    got = f.directional_derivative(xi)(x)
+    got = directional_derivative(f, xi)(x)
     assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -229,7 +231,7 @@ def _chained_partials(field, order, points):
         g = field
         for axis, reps in enumerate(alpha):
             for _ in range(reps):
-                g = g.directional_derivative(axes[axis])
+                g = directional_derivative(g, axes[axis])
         rows.append(g(points))
     return np.array(rows)
 
@@ -250,6 +252,50 @@ def test_partial_values_match_chained_directional_derivatives(
     assert got.shape == (len(multi_indices(dimension, order)), 40)
     np.testing.assert_allclose(got, want, rtol=0.0,
                                atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dimension=st.sampled_from([1, 2, 3]),
+       degree=st.integers(0, 3),
+       count=st.integers(1, 4))
+def test_taylor_rows_match_the_symbolic_chain(seed, dimension, degree,
+                                              count):
+    # c units^-j (d_xi^j q) / j! from one set of partials, against d_xi
+    # taken j times on the Polynomial; each direction has its own points
+    rng = np.random.default_rng(seed)
+    term = _random_field(rng, dimension, 1, degree).terms[0]
+    directions = rng.standard_normal((count, dimension))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    units = rng.uniform(0.5, 2.0, count)
+    points = rng.uniform(-3.0, 3.0, (count, 9, dimension))
+    got = _taylor_rows(term, points.reshape(-1, dimension).T, directions,
+                       units)
+    want = np.empty((count, degree + 1, 9))
+    for d, xi in enumerate(directions):
+        q = term.polynomial
+        for j in range(degree + 1):
+            want[d, j] = term.coefficient * q.evaluate(points[d]) / (
+                math.factorial(j) * units[d] ** j)
+            q = polynomial_directional_derivative(q, xi)
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_difference_stencil_is_the_centered_difference(order):
+    offsets, coeffs = np.array(difference_stencil(order)).T
+    np.testing.assert_array_equal(offsets, np.arange(order + 1) - order / 2)
+    # Delta^m annihilates the polynomials of degree below m, and takes u^m
+    # to m!
+    for i in range(order):
+        assert np.sum(coeffs * offsets ** i) == 0.0
+    assert np.sum(coeffs * offsets ** order) == math.factorial(order)
+    assert np.sum(np.abs(coeffs)) == 2.0 ** order
+    for p in (1.0, 1.5, 2.0, 3.0, 4.0):
+        assert (np.sum(np.abs(coeffs) ** p)
+                == pytest.approx(_separated_lobes_constant(order, p),
+                                 rel=1e-15))
 
 
 # dict reference of the polynomial arithmetic: exponent tuple -> coefficient
@@ -326,9 +372,11 @@ def test_polynomial_array_ops_match_dict_reference(seed, dimension, sizes):
     _assert_matches(p, a)
     _assert_matches(p + q, _ref_add(a, b))
     _assert_matches(p * q, _ref_mul(a, b))
-    _assert_matches(p.directional_derivative(np.eye(dimension)[axis]),
-                    _ref_directional(a, np.eye(dimension)[axis]))
-    _assert_matches(p.directional_derivative(xi), _ref_directional(a, xi))
+    _assert_matches(
+        polynomial_directional_derivative(p, np.eye(dimension)[axis]),
+        _ref_directional(a, np.eye(dimension)[axis]))
+    _assert_matches(polynomial_directional_derivative(p, xi),
+                    _ref_directional(a, xi))
     _assert_matches(p.compose_linear(matrix), _ref_compose(a, matrix))
     x = rng.uniform(-2.0, 2.0, (7, dimension))
     want = sum(c * np.prod(x ** np.array(e), axis=1) for e, c in a.items())

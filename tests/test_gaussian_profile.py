@@ -11,8 +11,9 @@ from affsob import (AnalyticField, QuadratureBundle, SmoothnessParams,
                     directional_profile, seminorms, standard_family)
 from affsob.autocorrelation import exact_directional_energies
 from affsob.fields import Polynomial
-from affsob.seminorms import (_gaussian_energies, _gaussian_line_energy,
-                              _swept_energies)
+from affsob.seminorms import (_cached_line_energy, _gaussian_energies,
+                              _gaussian_line_energy, _swept_energies,
+                              slice_seminorm_crosscheck)
 
 # a single Gaussian off the origin with a negative amplitude
 MOVED = AnalyticField.gaussian(2, precision=[[1.5, 0.3], [0.3, 0.8]],
@@ -77,6 +78,29 @@ def test_profile_agrees_with_the_doubled_sweep(s, p):
         drift = np.abs(coarse / swept - 1.0).max()
         assert np.abs(got / swept - 1.0).max() <= drift
         assert drift < 4e-3
+
+
+def test_line_energy_is_computed_once_per_tier(monkeypatch):
+    # the 96 slices of the cross-check and the 2-D side share E(s, p, m)
+    # per tier: one for the 2-D bundle and one for the 1-D bundle of the
+    # slices, which has its own line node count
+    calls = []
+    original = seminorms._gaussian_difference_lp
+
+    def spy(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(seminorms, "_gaussian_difference_lp", spy)
+    _cached_line_energy.cache_clear()
+    quads = QuadratureBundle.default(2)
+    params = SmoothnessParams(1.5, 1.0)
+    first = slice_seminorm_crosscheck(standard_family()["radial"], params, 0,
+                                      quads)
+    assert calls == [(2, 1.0, 96), (2, 1.0, 192)]
+    assert slice_seminorm_crosscheck(standard_family()["radial"], params, 0,
+                                     quads) == first
+    assert len(calls) == 2
 
 
 @pytest.fixture()

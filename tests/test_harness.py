@@ -212,6 +212,20 @@ def test_cli_constants_missing_argument(capsys):
     assert "--gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["c1-general", "--N", "2", "--s", "1", "--K1", "1", "--K2", "0.5"],
+    ["c1-tilde", "--N", "1", "--p", "2"],
+    ["c1-tilde", "--N", "2", "--p", "0.5"],
+    ["c-gamma", "--N", "2", "--gamma", "0.5"],
+    ["c1-first", "--N", "1"],
+])
+def test_cli_constants_out_of_range_is_a_config_error(argv, capsys):
+    assert cli_main(["constants", "--formula"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
 def test_cli_energy_and_optimize(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
@@ -441,3 +455,20 @@ def test_cli_verify_optimizer_suite(tmp_path, capsys):
 def test_cli_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         cli_main(["verify", "--suite", "imaginary"])
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_a_scale_that_is_not_finite_and_positive_exits_2(scale, tmp_path,
+                                                         capsys):
+    # refused while parsing, before any suite runs
+    for argv in (["verify", "--suite", "core"],
+                 ["report", "--out", str(tmp_path / "report")]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv + [f"--scale={scale}"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite and positive" in captured.err
+    assert not (tmp_path / "report").exists()
+    with pytest.raises(ValueError, match="finite and positive"):
+        run_suite("core", scale=float(scale))

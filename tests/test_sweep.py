@@ -15,6 +15,7 @@ from affsob.fields import (_SWEEP_BLOCK, GaussianTerm, Polynomial,
                            _group_bounds, _step_groups, _taylor_shift,
                            multi_indices)
 from affsob.quadrature import RadialQuadrature, directional_box
+from oracles import directional_derivative
 
 
 def two_step_difference_lp_samples(field, xi, ts, order, p, nodes, weights):
@@ -159,7 +160,7 @@ def test_group_bounds_cover_every_literal_difference(seed, dimension,
         def derivative_line(sigma):
             return _flat_line_values(terms, sigma, order)
     else:
-        derivative = field.directional_derivative(xi, order)
+        derivative = directional_derivative(field, xi, order)
 
         def line(sigma):
             return field.line_values(nodes, xi, sigma)
